@@ -220,6 +220,10 @@ def adaptive_solve(problem, adapt=None, solver=None):
             break
         if adapt.uniform:
             marked = np.arange(mesh.n_elements)
+        elif not np.any(breakdown.element_indicators > 0):
+            logger.info("it=%d all element indicators are zero; nothing to "
+                        "mark, stopping", it)
+            break
         else:
             marked = doerfler_mark(breakdown.element_indicators, adapt.theta)
         mesh = bisect(mesh, marked)

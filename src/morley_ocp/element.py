@@ -274,14 +274,16 @@ class DofMap:
             bary = np.asarray(bary, dtype=float)
             P, dP, d2P = prim_values(bary), prim_dlam(bary), prim_d2lam(bary)
             val = np.einsum("ti,qi->tq", a, P)
-            grad = np.einsum("ti,qik,tkx->tqx", a, dP, G)
-            hess = np.einsum("ti,qikl,tkx,tly->tqxy", a, d2P, G, G)
+            grad = np.einsum("ti,qik,tkx->tqx", a, dP, G, optimize=True)
+            hess = np.einsum("ti,qikl,tkx,tly->tqxy", a, d2P, G, G,
+                             optimize=True)
         else:
             bary = np.asarray(bary, dtype=float)
             P, dP, d2P = prim_values(bary), prim_dlam(bary), prim_d2lam(bary)
             val = np.einsum("mi,mqi->mq", a, P)
-            grad = np.einsum("mi,mqik,mkx->mqx", a, dP, G)
-            hess = np.einsum("mi,mqikl,mkx,mly->mqxy", a, d2P, G, G)
+            grad = np.einsum("mi,mqik,mkx->mqx", a, dP, G, optimize=True)
+            hess = np.einsum("mi,mqikl,mkx,mly->mqxy", a, d2P, G, G,
+                             optimize=True)
         return val, grad, hess
 
     def grad_laplacian(self, u, elems=None):

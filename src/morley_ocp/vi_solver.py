@@ -4,17 +4,25 @@ The discrete problem minimizes ``1/2 x'Ax - b'x`` over linear inequality
 constraints.  Two structures occur:
 
 * integral case: two scalar rows (state mean, control mean), solved by
-  exact enumeration of the four active-set candidates;
+  exact enumeration of the four active-set candidates, which share one
+  back-solve for ``A^{-1} b`` and one for ``A^{-1}`` of both rows;
 * box case: the scalar state row plus per-element control boxes, solved by
   a primal-dual active set iteration with an outer enumeration over the
   state row.
 
-Equality-constrained subproblems use a Schur complement on a cached
-factorization of A when few rows are pinned, and a sparse saddle-point
-(bordered KKT) factorization when many are.  Multipliers follow the sign
-convention ``A x - b - mu * state_row - sum(lambda_T * row_T) = 0`` with
-``mu >= 0`` and ``lambda`` nonnegative on lower-active, nonpositive on
-upper-active rows.
+Every matrix is factored by SuperLU in symmetric mode (a fill-reducing
+ordering of ``A + A'`` with diagonal pivots).  Equality-constrained
+subproblems use a Schur complement on the cached factorization of A when
+few rows are pinned, followed by one correction step that restores the
+pinned rows to rounding level.  When many rows are pinned they factor the
+regularized saddle ``[[A, R'], [R, -eps I]]``, which is symmetric
+quasi-definite (Vanderbei, SIAM J. Optim. 5, 1995), with ``eps`` derived
+from the diagonal of A, and refine its answer against the true bordered
+KKT system.  All solves share one iterative-refinement loop that certifies
+the relative residual.  Multipliers follow the sign convention
+``A x - b - mu * state_row - sum(lambda_T * row_T) = 0`` with ``mu >= 0``
+and ``lambda`` nonnegative on lower-active, nonpositive on upper-active
+rows.
 """
 
 from __future__ import annotations
@@ -33,6 +41,17 @@ logger = logging.getLogger("morley_ocp.vi_solver")
 # pinned-row count above which equality solves switch to the bordered
 # saddle factorization instead of the dense Schur complement
 SCHUR_ROW_LIMIT = 64
+
+# saddle regularization relative to max|diag A|; 1e-8..1e-14 all refine to
+# the same ex4 answer, while with 1e-6 refinement stalls at a relative
+# residual near 1e-4
+SADDLE_REGULARIZATION = 1e-10
+
+# at most this many refinement steps after the first solve; refinement
+# stops once a step no longer halves the residual, and a solve whose
+# relative residual stays above RESIDUAL_LIMIT is rejected
+REFINE_STEPS = 8
+RESIDUAL_LIMIT = 1e-6
 
 
 class SolverError(Exception):
@@ -66,17 +85,55 @@ class ViSolution:
     schur_condition: float = np.nan
     diagnostics: dict = field(default_factory=dict)
 
-    @property
-    def lambda_field(self):
-        """Per-element multiplier values (broadcast scalar in the integral
-        case)."""
-        if np.ndim(self.lam) == 0:
-            return None
-        return self.lam
-
 
 def _as_csr(A):
     return A.matrix if isinstance(A, SystemMatrix) else sp.csr_matrix(A)
+
+
+def _symmetric_splu(M):
+    """SuperLU in symmetric mode: minimum-degree ordering of ``M + M'`` and
+    diagonal pivots, for SPD and symmetric quasi-definite matrices."""
+    return spla.splu(M.tocsc(), permc_spec="MMD_AT_PLUS_A",
+                     diag_pivot_thresh=0, options={"SymmetricMode": True})
+
+
+def _rel_residual(R, B):
+    denom = np.linalg.norm(B, axis=0)
+    num = np.linalg.norm(R, axis=0)
+    return float(np.max(num / np.where(denom == 0, 1.0, denom)))
+
+
+def _refine(K, solve, B, tol):
+    """Solve ``K X = B`` with the approximate inverse ``solve`` plus
+    iterative refinement against ``K``.
+
+    Refines until the relative residual meets ``tol`` or stops falling (it
+    no longer halves: the float64 floor of an ill-conditioned system), keeps
+    the best iterate, and raises SolverError when that is still above
+    RESIDUAL_LIMIT.
+    """
+    X = solve(B)
+    R = B - K @ X
+    res = _rel_residual(R, B)
+    for _ in range(REFINE_STEPS):
+        if res <= tol:
+            break
+        X1 = X + solve(R)
+        R1 = B - K @ X1
+        res1 = _rel_residual(R1, B)
+        if res1 < res:
+            X, R = X1, R1
+        stalled = res1 > 0.5 * res
+        res = min(res, res1)
+        if stalled:
+            break
+    if res > RESIDUAL_LIMIT:
+        raise SolverError(f"linear solve failed (relative residual "
+                          f"{res:.2e})")
+    if res > 1e2 * tol:
+        logger.debug("linear solve stalled at relative residual %.2e "
+                     "(conditioning floor)", res)
+    return X
 
 
 class SpdSolver:
@@ -91,7 +148,7 @@ class SpdSolver:
         self.config = config or SolverConfig()
         self.n = self.A.shape[0]
         try:
-            self._lu = spla.splu(self.A.tocsc())
+            self._lu = _symmetric_splu(self.A)
         except RuntimeError as exc:
             logger.warning("factorization failed (%s); falling back to CG", exc)
             self._lu = None
@@ -105,49 +162,48 @@ class SpdSolver:
         rhs = np.asarray(rhs, dtype=float)
         single = rhs.ndim == 1
         B = rhs[:, None] if single else rhs
-        if self._lu is not None:
-            # iterative refinement down to the tolerance, or to the float64
-            # floor eps * cond(A) for ill-conditioned right-hand sides
-            X = self._lu.solve(B)
-            best, best_res = X, self._rel_residual(B - self.A @ X, B)
-            for _ in range(8):
-                if best_res <= self.config.linear_tolerance:
-                    break
-                X = best + self._lu.solve(B - self.A @ best)
-                res = self._rel_residual(B - self.A @ X, B)
-                if res >= best_res:
-                    break
-                best, best_res = X, res
-            X = best
-        else:
-            X = np.empty_like(B)
-            M = spla.LinearOperator((self.n, self.n),
-                                    matvec=lambda v: v / self._diag)
-            for j in range(B.shape[1]):
-                x, info = spla.cg(self.A, B[:, j], rtol=self.config.linear_tolerance,
-                                  atol=0.0, maxiter=10 * self.n, M=M)
-                if info != 0:
-                    raise SolverError(f"CG did not converge (info={info})")
-                X[:, j] = x
-        final = self._rel_residual(B - self.A @ X, B)
-        if final > 1e-6:
-            raise SolverError(f"linear solve failed (relative residual "
-                              f"{final:.2e})")
-        if final > 1e2 * self.config.linear_tolerance:
-            logger.debug("linear solve stalled at relative residual %.2e "
-                         "(conditioning floor)", final)
+        solve = self._lu.solve if self._lu is not None else self._cg
+        X = _refine(self.A, solve, B, self.config.linear_tolerance)
         return X[:, 0] if single else X
 
-    @staticmethod
-    def _rel_residual(R, B):
-        denom = np.linalg.norm(B, axis=0)
-        num = np.linalg.norm(R, axis=0)
-        return float(np.max(num / np.where(denom == 0, 1.0, denom)))
+    def _cg(self, B):
+        X = np.empty_like(B)
+        M = spla.LinearOperator((self.n, self.n),
+                                matvec=lambda v: v / self._diag)
+        for j in range(B.shape[1]):
+            x, info = spla.cg(self.A, B[:, j], rtol=self.config.linear_tolerance,
+                              atol=0.0, maxiter=10 * self.n, M=M)
+            if info != 0:
+                raise SolverError(f"CG did not converge (info={info})")
+            X[:, j] = x
+        return X
 
 
 def solve_spd(A, rhs, config=None):
     """Direct SPD solve with certified relative residual."""
     return SpdSolver(A, config).solve(rhs)
+
+
+def _schur(x0, Y, R, targets):
+    """Pin ``R x = targets`` given ``x0 = A^{-1} b`` and ``Y = A^{-1} R'``.
+
+    Returns (x, multipliers, condition of the Schur complement).  One
+    correction step with the same ``Y`` and Schur complement brings the
+    pinned rows back to rounding level.
+    """
+    S = np.asarray(R @ Y)
+    cond = float(np.linalg.cond(S))
+    x, nu = x0, np.zeros(len(targets))
+    for _ in range(2):
+        try:
+            dnu = np.linalg.solve(S, targets - R @ x)
+        except np.linalg.LinAlgError as exc:
+            raise SolverError("singular Schur complement: dependent active "
+                              "rows") from exc
+        if not np.all(np.isfinite(dnu)):
+            raise SolverError("singular Schur complement: dependent active rows")
+        x, nu = x + Y @ dnu, nu + dnu
+    return x, nu, cond
 
 
 def solve_equality_qp(A, b, rows, targets, config=None, solver=None):
@@ -159,7 +215,6 @@ def solve_equality_qp(A, b, rows, targets, config=None, solver=None):
     """
     config = config or SolverConfig()
     solver = solver or SpdSolver(A, config)
-    Acsr = _as_csr(A)
     targets = np.asarray(targets, dtype=float)
     k = 0 if rows is None else (rows.shape[0] if sp.issparse(rows)
                                 else len(rows))
@@ -168,37 +223,20 @@ def solve_equality_qp(A, b, rows, targets, config=None, solver=None):
 
     R = rows if sp.issparse(rows) else sp.csr_matrix(np.atleast_2d(rows))
     if k <= SCHUR_ROW_LIMIT:
-        x0 = solver.solve(b)
-        Y = solver.solve(np.asarray(R.todense()).T)       # (n, k)
-        S = R @ Y                                         # (k, k)
-        S = np.asarray(S)
-        cond = float(np.linalg.cond(S))
-        try:
-            nu = np.linalg.solve(S, targets - R @ x0)
-        except np.linalg.LinAlgError as exc:
-            raise SolverError("singular Schur complement: dependent active "
-                              "rows") from exc
-        if not np.all(np.isfinite(nu)):
-            raise SolverError("singular Schur complement: dependent active rows")
-        x = x0 + Y @ nu
-        return x, nu, cond
+        return _schur(solver.solve(b), solver.solve(R.toarray().T), R, targets)
 
+    Acsr = _as_csr(A)
+    n = Acsr.shape[0]
     K = sp.bmat([[Acsr, R.T], [R, None]], format="csc")
+    eps = SADDLE_REGULARIZATION * float(np.max(np.abs(Acsr.diagonal())))
     try:
-        lu = spla.splu(K)
+        lu = _symmetric_splu(K - sp.diags(np.r_[np.zeros(n), np.full(k, eps)]))
     except RuntimeError as exc:
         raise SolverError("saddle factorization failed (dependent active "
                           "rows?)") from exc
-    n = Acsr.shape[0]
-    rhs = np.concatenate([b, targets])
-    sol = lu.solve(rhs)
-    for _ in range(2):
-        res = rhs - K @ sol
-        if np.linalg.norm(res) <= config.linear_tolerance * max(1.0, np.linalg.norm(rhs)):
-            break
-        sol = sol + lu.solve(res)
-    x, w = sol[:n], sol[n:]
-    return x, -w, np.nan
+    sol = _refine(K, lu.solve, np.concatenate([b, targets]),
+                  config.linear_tolerance)
+    return sol[:n], -sol[n:], np.nan
 
 
 def _feas_tol(config, bound):
@@ -210,46 +248,40 @@ def solve_case_i(A, b, constraints: ConstraintSet, config=None):
 
     Tries the candidates {}, {state}, {control}, {state, control} in order
     and accepts the first that is primal feasible with correctly signed
-    multipliers.
+    multipliers.  ``x0 = A^{-1} b`` and ``Y = A^{-1} [s c]`` are computed
+    once; each pinned candidate is then a Schur solve of at most 2x2.
     """
     config = config or SolverConfig()
     if constraints.case != "integral":
         raise SolverError("solve_case_i needs an integral-case ConstraintSet")
     solver = SpdSolver(A, config)
-    s, c = constraints.state_row, constraints.control_row
-    ds, dc = constraints.state_bound, constraints.control_bound
+    rows = np.vstack([constraints.state_row, constraints.control_row])
+    bounds = np.array([constraints.state_bound, constraints.control_bound])
     bscale = max(1.0, float(np.max(np.abs(b))) if len(b) else 1.0)
     sign_tol = config.complementarity_tolerance * bscale
+    feas_tol = np.array([_feas_tol(config, d) for d in bounds])
 
-    candidates = [(), ("state",), ("control",), ("state", "control")]
+    x0 = solve_equality_qp(A, b, None, [], config, solver)[0]
+    Y = solver.solve(rows.T)
+    candidates = [(), (0,), (1,), (0, 1)]
     for tried, active in enumerate(candidates, start=1):
-        rows = []
-        targets = []
-        if "state" in active:
-            rows.append(s)
-            targets.append(ds)
-        if "control" in active:
-            rows.append(c)
-            targets.append(dc)
-        x, nu, cond = solve_equality_qp(A, b, np.array(rows) if rows else None,
-                                        targets, config, solver)
-        mu = lam = 0.0
-        j = 0
-        if "state" in active:
-            mu, j = nu[0], 1
-        if "control" in active:
-            lam = nu[j]
-        if mu < -sign_tol or lam < -sign_tol:
+        pinned = list(active)
+        nu = np.zeros(2)
+        x, cond = x0, np.nan
+        if pinned:
+            x, nu[pinned], cond = _schur(x0, Y[:, pinned], rows[pinned],
+                                         bounds[pinned])
+        if np.any(nu < -sign_tol):
             continue
-        if "state" not in active and s @ x < ds - _feas_tol(config, ds):
-            continue
-        if "control" not in active and c @ x < dc - _feas_tol(config, dc):
+        free = [i for i in range(2) if i not in active]
+        if np.any(rows[free] @ x < bounds[free] - feas_tol[free]):
             continue
         logger.debug("case-i accepted active set %s after %d candidates",
                      active, tried)
         return ViSolution(
-            coefficients=x, mu=max(mu, 0.0), lam=max(lam, 0.0),
-            active_state="state" in active, active_control="control" in active,
+            coefficients=x, mu=max(float(nu[0]), 0.0),
+            lam=max(float(nu[1]), 0.0),
+            active_state=0 in active, active_control=1 in active,
             iterations=tried, case="integral", schur_condition=cond)
     raise SolverError("no active-set candidate is feasible with correctly "
                       "signed multipliers (Slater violation or bad data)")

@@ -124,3 +124,25 @@ def test_uniform_mode_matches_slope():
     s_err = fit_slope(run.records, 3, "energy_error")
     assert -0.65 <= s_err <= -0.35
     assert fit_slope(run.records, 3) <= -0.35
+
+
+def test_zero_indicators_stop_with_the_record(monkeypatch):
+    # an exactly resolved solution has nothing to mark: the loop stops and
+    # keeps the record it appended instead of raising from doerfler_mark
+    import dataclasses
+    import morley_ocp.adaptive as adaptive
+
+    real = adaptive.estimate
+
+    def zero_indicators(*args, **kwargs):
+        breakdown = real(*args, **kwargs)
+        return dataclasses.replace(
+            breakdown,
+            element_indicators=np.zeros_like(breakdown.element_indicators))
+
+    monkeypatch.setattr(adaptive, "estimate", zero_indicators)
+    run = adaptive_solve(manufactured(0),
+                         AdaptConfig(max_dofs=10**6, initial_subdivisions=1))
+    assert len(run.records) == 1
+    assert run.records[0].dofs == run.dofmap.n_dofs
+    assert run.solution is not None

@@ -113,20 +113,55 @@ def test_equality_qp_two_rows(unit_cross):
     assert np.abs(r).max() < 1e-10 * max(1, np.abs(b).max())
 
 
-def test_equality_qp_saddle_path_matches_schur(unit_cross):
-    import morley_ocp.vi_solver as vs
-    dm, A, b, cons = setup_case_i(manufactured(1), unit_cross)
+def _two_row_case():
+    dm, A, b, cons = setup_case_i(manufactured(1), initial_mesh(0.0, 1.0, 1))
     rows = np.vstack([cons.state_row, cons.control_row])
-    targets = [0.02, 0.7]
-    x1, nu1, _ = solve_equality_qp(A, b, rows, targets)
-    old = vs.SCHUR_ROW_LIMIT
-    vs.SCHUR_ROW_LIMIT = 0
-    try:
-        x2, nu2, _ = solve_equality_qp(A, b, sp.csr_matrix(rows), targets)
-    finally:
-        vs.SCHUR_ROW_LIMIT = old
-    assert np.allclose(x1, x2, atol=1e-9)
-    assert np.allclose(nu1, nu2, atol=1e-9)
+    return A, b, sp.csr_matrix(rows), np.array([0.02, 0.7])
+
+
+def _ex4_pinned_case():
+    # the state row plus 100 element averages of ex4 pinned to their lower
+    # or upper bounds, as in a PDAS step: more rows than SCHUR_ROW_LIMIT
+    dm = DofMap(uniform_refine(initial_mesh(0.0, 1.0, 4), 2))
+    prob = example(4)
+    A, b = assemble_system(dm, prob)
+    cons = assemble_constraints(dm, prob)
+    lo, up = np.arange(0, 200, 4), np.arange(1, 200, 4)
+    R = sp.vstack([sp.csr_matrix(cons.state_row), cons.element_rows[lo],
+                   cons.element_rows[up]], format="csr")
+    return A, b, R, np.r_[cons.state_bound, cons.lower[lo], cons.upper[up]]
+
+
+def test_equality_qp_saddle_path_matches_schur(monkeypatch):
+    import morley_ocp.vi_solver as vs
+    for case in (_two_row_case, _ex4_pinned_case):
+        A, b, R, targets = case()
+        k = R.shape[0]
+        monkeypatch.setattr(vs, "SCHUR_ROW_LIMIT", k)
+        x1, nu1, cond = solve_equality_qp(A, b, R, targets)
+        assert np.isfinite(cond)
+        monkeypatch.setattr(vs, "SCHUR_ROW_LIMIT", k - 1)
+        x2, nu2, cond2 = solve_equality_qp(A, b, R, targets)
+        assert np.isnan(cond2)
+        assert np.allclose(x1, x2, atol=1e-9)
+        assert np.allclose(nu1, nu2, atol=1e-9)
+        # the refined saddle answer satisfies the true KKT system
+        assert np.abs(R @ x2 - targets).max() <= 1e-10 * max(
+            1.0, np.abs(targets).max())
+        r = A.matrix @ x2 - b - R.T @ nu2
+        assert np.abs(r).max() <= 1e-9 * np.abs(b).max()
+
+
+def test_equality_qp_saddle_dependent_rows_raise():
+    # the regularized saddle factor is nonsingular even for a repeated row;
+    # refining against the true system must still expose the inconsistency
+    import morley_ocp.vi_solver as vs
+    A, b, R, targets = _ex4_pinned_case()
+    assert R.shape[0] > vs.SCHUR_ROW_LIMIT
+    R = sp.vstack([R, R[1]], format="csr")
+    targets = np.r_[targets, targets[1] + max(1.0, abs(targets[1]))]
+    with pytest.raises(SolverError):
+        solve_equality_qp(A, b, R, targets)
 
 
 # -- integral case (exact enumeration) ------------------------------------
