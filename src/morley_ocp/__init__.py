@@ -33,14 +33,13 @@ def _pin_threads():
 _pin_threads()  # before any numpy import below
 
 from .mesh import Mesh, MeshError, bisect, initial_mesh, uniform_refine  # noqa: E402
-from .element import (DofMap, FeFunction, LocalBasis, QuadratureRule,  # noqa: E402
-                      bubble, evaluate, interpolate, integrate,
-                      morley_basis, quadrature)
-from .assembly import (ConstraintSet, SystemMatrix, assemble_constraints,  # noqa: E402
+from .element import (DofMap, FeFunction, QuadratureRule,  # noqa: E402
+                      interpolate, integrate)
+from .assembly import (ConstraintSet, assemble_constraints,  # noqa: E402
                        assemble_system, element_laplacian_rows)
 from .vi_solver import (SolverConfig, SolverError, SpdSolver, ViSolution,  # noqa: E402
                         kkt_residual, solve_case_i, solve_case_ii,
-                        solve_equality_qp, solve_spd, solve_vi)
+                        solve_equality_qp, solve_vi)
 from .estimator import (ErrorReport, EstimatorBreakdown, estimate,  # noqa: E402
                         eta_edges, eta_interior, true_error)
 from .adaptive import (AdaptConfig, AdaptiveError, AdaptiveRun, RunRecord,  # noqa: E402
@@ -50,13 +49,12 @@ from .problems import (ExactSolution, ProblemSpec, example, manufactured,  # noq
 
 __all__ = [
     "Mesh", "MeshError", "bisect", "initial_mesh", "uniform_refine",
-    "DofMap", "FeFunction", "LocalBasis", "QuadratureRule", "bubble",
-    "evaluate", "interpolate", "integrate", "morley_basis", "quadrature",
-    "ConstraintSet", "SystemMatrix", "assemble_constraints",
-    "assemble_system", "element_laplacian_rows",
+    "DofMap", "FeFunction", "QuadratureRule", "interpolate", "integrate",
+    "ConstraintSet", "assemble_constraints", "assemble_system",
+    "element_laplacian_rows",
     "SolverConfig", "SolverError", "SpdSolver", "ViSolution",
     "kkt_residual", "solve_case_i", "solve_case_ii", "solve_equality_qp",
-    "solve_spd", "solve_vi",
+    "solve_vi",
     "ErrorReport", "EstimatorBreakdown", "estimate", "eta_edges",
     "eta_interior", "true_error",
     "AdaptConfig", "AdaptiveError", "AdaptiveRun", "RunRecord",

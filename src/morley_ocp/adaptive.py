@@ -18,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from .assembly import assemble_constraints, assemble_system
-from .element import DofMap, FeFunction
+from .element import DofMap
 from .estimator import estimate, true_error
 from .mesh import bisect, initial_mesh
 from .vi_solver import SolverConfig, SolverError, kkt_residual, solve_vi
@@ -93,14 +93,6 @@ class AdaptiveRun:
     dofmap: object = None
     solution: object = None
     breakdown: object = None
-    problem: object = None
-
-    def __iter__(self):
-        return iter(self.records)
-
-    @property
-    def solution_function(self):
-        return FeFunction(self.solution.coefficients, self.dofmap)
 
 
 def doerfler_mark(indicators, theta):
@@ -177,7 +169,7 @@ def adaptive_solve(problem, adapt=None, solver=None):
     lo, hi = problem.square
     mesh = initial_mesh(lo, hi, adapt.initial_subdivisions)
     records = []
-    run = AdaptiveRun(records, problem=problem)
+    run = AdaptiveRun(records)
 
     for it in range(adapt.max_iterations):
         t0 = time.perf_counter()

@@ -32,23 +32,6 @@ class AssemblyError(Exception):
 
 
 @dataclass
-class SystemMatrix:
-    """Sparse symmetric system matrix with a coordinate-format dump."""
-
-    matrix: sp.csr_matrix
-    dimension: int
-    symmetric: bool = True
-
-    def dump_coo(self, path):
-        """Write "row col value" lines (sorted by row, then column)."""
-        coo = self.matrix.tocoo()
-        order = np.lexsort((coo.col, coo.row))
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            for r, c, v in zip(coo.row[order], coo.col[order], coo.data[order]):
-                fh.write(f"{r} {c} {float(v)!r}\n")
-
-
-@dataclass
 class ConstraintSet:
     """Linear constraint functionals of the discrete problem.
 
@@ -105,7 +88,7 @@ def _element_matrices(dofmap: DofMap, beta, sl):
 
 
 def assemble_system(dofmap: DofMap, problem):
-    """Assemble (SystemMatrix, load vector) for a ProblemSpec."""
+    """Assemble (csr system matrix, load vector) for a ProblemSpec."""
     mesh = dofmap.mesh
     n = dofmap.n_dofs
     beta = problem.beta
@@ -147,7 +130,9 @@ def assemble_system(dofmap: DofMap, problem):
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
         shape=(n, n)).tocsr()
     A.sum_duplicates()
-    return SystemMatrix(A, n), b
+    # the summed arrays are views into the larger pre-summation buffers;
+    # the copy keeps only arrays of the matrix's own size alive
+    return A.copy(), b
 
 
 def _basis_laplacians(C, G, bary):

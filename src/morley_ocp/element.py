@@ -54,10 +54,8 @@ class ElementError(Exception):
 class QuadratureRule:
     """Positive rule with weights summing to one (scale by |T| or h_e)."""
 
-    kind: str                # "triangle" | "edge"
     points: np.ndarray       # (n, 3) barycentric or (n,) in [0, 1]
     weights: np.ndarray      # (n,), sum 1
-    exact_degree: int
 
 
 @lru_cache(maxsize=None)
@@ -70,7 +68,7 @@ def edge_rule(exact_degree):
     x, w = np.polynomial.legendre.leggauss(n)
     pts = 0.5 * (x + 1.0)
     wts = 0.5 * w
-    return QuadratureRule("edge", pts, wts, 2 * n - 1)
+    return QuadratureRule(pts, wts)
 
 
 @lru_cache(maxsize=None)
@@ -95,16 +93,7 @@ def triangle_rule(exact_degree):
     perms = [(0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)]
     pts = np.concatenate([lam[:, p] for p in perms])
     wts = np.concatenate([ww] * 6) / 3.0  # ww sums to 1/2 (reference area)
-    return QuadratureRule("triangle", pts, wts, exact_degree)
-
-
-def quadrature(kind, exact_degree):
-    """Quadrature factory for ``kind`` in {"triangle", "edge"}."""
-    if kind == "triangle":
-        return triangle_rule(exact_degree)
-    if kind == "edge":
-        return edge_rule(exact_degree)
-    raise ElementError(f"unknown quadrature kind {kind!r}")
+    return QuadratureRule(pts, wts)
 
 
 # ----------------------------------------------------------------------
@@ -175,10 +164,10 @@ def _edge_bary(k, s):
 
 
 @lru_cache(maxsize=None)
-def _edge_mean_dlam(n_gauss_degree=5):
+def _edge_mean_dlam():
     """E[k, j, m]: edge-k mean of d(prim_j)/d(lam_m) (exact for the local
     space; the integrands are at most quadratic along an edge)."""
-    rule = edge_rule(n_gauss_degree)
+    rule = edge_rule(5)
     E = np.empty((3, N_LOCAL, 3))
     for k in range(3):
         d = prim_dlam(_edge_bary(k, rule.points))    # (n, 7, 3)
@@ -209,7 +198,6 @@ class DofMap:
         nvi = len(interior)
         self.edge_dof = nvi + np.arange(ne)
         self.bubble_dof = nvi + ne + np.arange(nt)
-        self.n_vertex_dofs = nvi
         self.n_dofs = nvi + ne + nt
 
         self.cell_dofs = np.empty((nt, N_LOCAL), dtype=np.int64)
@@ -270,16 +258,14 @@ class DofMap:
         mesh = self.mesh
         a = self.prim_coefficients(u, elems)
         G = mesh.grad_lambda if elems is None else mesh.grad_lambda[elems]
+        bary = np.asarray(bary, dtype=float)
+        P, dP, d2P = prim_values(bary), prim_dlam(bary), prim_d2lam(bary)
         if elems is None:
-            bary = np.asarray(bary, dtype=float)
-            P, dP, d2P = prim_values(bary), prim_dlam(bary), prim_d2lam(bary)
             val = np.einsum("ti,qi->tq", a, P)
             grad = np.einsum("ti,qik,tkx->tqx", a, dP, G, optimize=True)
             hess = np.einsum("ti,qikl,tkx,tly->tqxy", a, d2P, G, G,
                              optimize=True)
         else:
-            bary = np.asarray(bary, dtype=float)
-            P, dP, d2P = prim_values(bary), prim_dlam(bary), prim_d2lam(bary)
             val = np.einsum("mi,mqi->mq", a, P)
             grad = np.einsum("mi,mqik,mkx->mqx", a, dP, G, optimize=True)
             hess = np.einsum("mi,mqikl,mkx,mly->mqxy", a, d2P, G, G,
@@ -315,79 +301,6 @@ class FeFunction:
         self.coefficients = np.asarray(self.coefficients, dtype=float)
         if self.coefficients.shape != (self.dofmap.n_dofs,):
             raise ElementError("coefficient length does not match the DOF map")
-
-    def eval(self, bary, elems=None):
-        return self.dofmap.eval_function(self.coefficients, bary, elems)
-
-
-def evaluate(f: FeFunction, element, bary):
-    """(value, gradient, hessian) of ``f`` at one barycentric point of one
-    element."""
-    bary = np.asarray(bary, dtype=float).reshape(1, 1, 3)
-    elems = np.array([element])
-    val, grad, hess = f.eval(bary, elems)
-    return float(val[0, 0]), grad[0, 0], hess[0, 0]
-
-
-# ----------------------------------------------------------------------
-# classic local bases (single element, mostly for tests and oracles)
-# ----------------------------------------------------------------------
-
-@dataclass
-class LocalBasis:
-    """Pointwise values of the 7 local shape functions (6 Morley + bubble)."""
-
-    values: np.ndarray       # (q, 7)
-    gradients: np.ndarray    # (q, 7, 2)
-    hessians: np.ndarray     # (q, 7, 2, 2)
-
-
-def bubble(mesh: Mesh, element, bary):
-    """The cubic bubble 60 l0 l1 l2: (value, gradient, hessian) at one
-    barycentric point."""
-    lam = np.asarray(bary, dtype=float)
-    if abs(lam.sum() - 1.0) > 1e-12:
-        raise ElementError("barycentric coordinates must sum to 1")
-    G = mesh.grad_lambda[element]
-    val = 60.0 * lam[0] * lam[1] * lam[2]
-    dl = 60.0 * np.array([lam[1] * lam[2], lam[0] * lam[2], lam[0] * lam[1]])
-    grad = dl @ G
-    hess = np.zeros((2, 2))
-    for (i, j, k) in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-        hess += 60.0 * lam[k] * (np.outer(G[i], G[j]) + np.outer(G[j], G[i]))
-    return val, grad, hess
-
-
-def morley_basis(mesh: Mesh, element, bary):
-    """LocalBasis at barycentric points (q, 3): the six quadratic Morley
-    shape functions dual to {vertex values, edge means of d/dn}, plus the
-    bubble."""
-    bary = np.atleast_2d(np.asarray(bary, dtype=float))
-    G = mesh.grad_lambda[element]
-    # 6x6 dual problem in the P2 primitives
-    D6 = np.zeros((6, 6))
-    D6[:3, :] = prim_values(np.eye(3))[:, :6]
-    E = _edge_mean_dlam()[:, :6, :]
-    N = mesh.edge_normals[mesh.elem_edges[element]]
-    GN = np.einsum("mx,kx->km", G, N)
-    D6[3:, :] = np.einsum("kjm,km->kj", E, GN)
-    try:
-        C6 = np.linalg.inv(D6)
-    except np.linalg.LinAlgError as exc:
-        raise ElementError("singular Morley dual system") from exc
-
-    P, dP, d2P = prim_values(bary), prim_dlam(bary), prim_d2lam(bary)
-    q = len(bary)
-    values = np.empty((q, 7))
-    gradients = np.empty((q, 7, 2))
-    hessians = np.empty((q, 7, 2, 2))
-    values[:, :6] = np.einsum("qi,ij->qj", P[:, :6], C6)
-    gradients[:, :6] = np.einsum("qik,ij,kx->qjx", dP[:, :6], C6, G)
-    hessians[:, :6] = np.einsum("qikl,ij,kx,ly->qjxy", d2P[:, :6], C6, G, G)
-    values[:, 6] = 60.0 * P[:, 6]
-    gradients[:, 6] = 60.0 * np.einsum("qk,kx->qx", dP[:, 6], G)
-    hessians[:, 6] = 60.0 * np.einsum("qkl,kx,ly->qxy", d2P[:, 6], G, G)
-    return LocalBasis(values, gradients, hessians)
 
 
 # ----------------------------------------------------------------------

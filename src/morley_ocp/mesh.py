@@ -221,26 +221,6 @@ class Mesh:
         p = self.vertices[self.elements]
         return np.einsum("qk,tkx->tqx", np.asarray(bary, dtype=float), p)
 
-    def element_geometry(self, t):
-        """Geometry queries for one element: area, h_T, barycentric
-        gradients, and per-local-edge (length, normal, midpoint)."""
-        edges = self.elem_edges[t]
-        mids = 0.5 * (self.vertices[self.edges[edges, 0]]
-                      + self.vertices[self.edges[edges, 1]])
-        return {
-            "area": float(self.areas[t]),
-            "h": float(self.h_elements[t]),
-            "grad_lambda": np.array(self.grad_lambda[t]),
-            "edge_lengths": np.array(self.edge_lengths[edges]),
-            "edge_normals": np.array(self.edge_normals[edges]),
-            "edge_midpoints": mids,
-        }
-
-    def edge_jump_frame(self, e):
-        """(plus element, minus element or None, unit normal plus->minus)."""
-        plus, minus = self.edge_elements[e]
-        return int(plus), (None if minus < 0 else int(minus)), np.array(self.edge_normals[e])
-
     def min_angle(self):
         """Smallest interior angle over all elements, in degrees."""
         p = self.vertices[self.elements]

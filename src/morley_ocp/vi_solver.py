@@ -28,13 +28,13 @@ rows.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .assembly import ConstraintSet, SystemMatrix
+from .assembly import ConstraintSet
 
 logger = logging.getLogger("morley_ocp.vi_solver")
 
@@ -83,11 +83,6 @@ class ViSolution:
     iterations: int
     case: str
     schur_condition: float = np.nan
-    diagnostics: dict = field(default_factory=dict)
-
-
-def _as_csr(A):
-    return A.matrix if isinstance(A, SystemMatrix) else sp.csr_matrix(A)
 
 
 def _symmetric_splu(M):
@@ -137,51 +132,27 @@ def _refine(K, solve, B, tol):
 
 
 class SpdSolver:
-    """Sparse symmetric factorization with CG + Jacobi fallback.
+    """Symmetric-mode SuperLU factorization of a sparse SPD matrix; a
+    failed factorization raises SolverError.
 
     ``solve`` refines iteratively until the relative residual meets the
     configured tolerance.
     """
 
     def __init__(self, A, config: SolverConfig | None = None):
-        self.A = _as_csr(A)
+        self.A = A
         self.config = config or SolverConfig()
-        self.n = self.A.shape[0]
         try:
-            self._lu = _symmetric_splu(self.A)
+            self._lu = _symmetric_splu(A)
         except RuntimeError as exc:
-            logger.warning("factorization failed (%s); falling back to CG", exc)
-            self._lu = None
-            d = self.A.diagonal()
-            if np.any(d <= 0):
-                raise SolverError("factorization breakdown: matrix is not "
-                                  "positive definite") from exc
-            self._diag = d
+            raise SolverError(f"factorization failed ({exc})") from exc
 
     def solve(self, rhs):
         rhs = np.asarray(rhs, dtype=float)
         single = rhs.ndim == 1
         B = rhs[:, None] if single else rhs
-        solve = self._lu.solve if self._lu is not None else self._cg
-        X = _refine(self.A, solve, B, self.config.linear_tolerance)
+        X = _refine(self.A, self._lu.solve, B, self.config.linear_tolerance)
         return X[:, 0] if single else X
-
-    def _cg(self, B):
-        X = np.empty_like(B)
-        M = spla.LinearOperator((self.n, self.n),
-                                matvec=lambda v: v / self._diag)
-        for j in range(B.shape[1]):
-            x, info = spla.cg(self.A, B[:, j], rtol=self.config.linear_tolerance,
-                              atol=0.0, maxiter=10 * self.n, M=M)
-            if info != 0:
-                raise SolverError(f"CG did not converge (info={info})")
-            X[:, j] = x
-        return X
-
-
-def solve_spd(A, rhs, config=None):
-    """Direct SPD solve with certified relative residual."""
-    return SpdSolver(A, config).solve(rhs)
 
 
 def _schur(x0, Y, R, targets):
@@ -225,10 +196,9 @@ def solve_equality_qp(A, b, rows, targets, config=None, solver=None):
     if k <= SCHUR_ROW_LIMIT:
         return _schur(solver.solve(b), solver.solve(R.toarray().T), R, targets)
 
-    Acsr = _as_csr(A)
-    n = Acsr.shape[0]
-    K = sp.bmat([[Acsr, R.T], [R, None]], format="csc")
-    eps = SADDLE_REGULARIZATION * float(np.max(np.abs(Acsr.diagonal())))
+    n = A.shape[0]
+    K = sp.bmat([[A, R.T], [R, None]], format="csc")
+    eps = SADDLE_REGULARIZATION * float(np.max(np.abs(A.diagonal())))
     try:
         lu = _symmetric_splu(K - sp.diags(np.r_[np.zeros(n), np.full(k, eps)]))
     except RuntimeError as exc:
@@ -328,7 +298,6 @@ def solve_case_ii(A, b, constraints: ConstraintSet, config=None):
 
 
 def _pdas(A, b, constraints, config, solver, state_active, areas):
-    Acsr = _as_csr(A)
     s, ds = constraints.state_row, constraints.state_bound
     rows, lower, upper = (constraints.element_rows, constraints.lower,
                           constraints.upper)
@@ -375,7 +344,7 @@ def _pdas(A, b, constraints, config, solver, state_active, areas):
             logger.debug("pdas it=%d state=%s |A_a|=%d |A_b|=%d stat=%.3e",
                          it, state_active, int(new_lo.sum()),
                          int(new_up.sum()),
-                         np.linalg.norm(Acsr @ x - b, np.inf))
+                         np.linalg.norm(A @ x - b, np.inf))
         if np.array_equal(new_lo, act_lo) and np.array_equal(new_up, act_up):
             act = np.zeros(nt, dtype=np.int64)
             act[act_lo] = -1
@@ -405,11 +374,10 @@ def kkt_residual(A, b, constraints, solution):
     divided by the max-norm of the load; feasibility and complementarity
     are normalized by the constraint scales.
     """
-    Acsr = _as_csr(A)
     x = solution.coefficients
     b = np.asarray(b, dtype=float)
     s, ds = constraints.state_row, constraints.state_bound
-    r = Acsr @ x - b - solution.mu * s
+    r = A @ x - b - solution.mu * s
     sval = float(s @ x)
     scale_s = max(1.0, abs(ds))
     feas = max(0.0, (ds - sval) / scale_s)

@@ -1,9 +1,23 @@
+import os
+
 import numpy as np
 import pytest
 
 from morley_ocp.mesh import Mesh, bisect, initial_mesh
 
 ACCEPTANCE_LINES = []
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                   "src")
+
+
+def child_env():
+    """Environment for a CLI child process: single-threaded deterministic
+    mode, and the package importable from a checkout that is not
+    installed."""
+    env = dict(os.environ, MORLEY_OCP_THREADS="0")
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [SRC, env.get("PYTHONPATH")]))
+    return env
 
 
 def pytest_terminal_summary(terminalreporter):

@@ -16,7 +16,6 @@ and the same factor that criterion 2 allows.  The PASS line still names the
 first iteration, if any, where eta_h falls below the energy error.
 """
 
-import os
 import subprocess
 import sys
 
@@ -31,7 +30,7 @@ from morley_ocp.mesh import bisect, initial_mesh
 from morley_ocp.problems import ProblemSpec, example, manufactured
 from morley_ocp.vi_solver import solve_vi
 
-from conftest import random_mesh
+from conftest import child_env, random_mesh
 from oracles import (assemble_dense, estimator_terms, exhaustive_box_solve,
                      projected_gradient)
 
@@ -123,7 +122,7 @@ def test_criterion_4a_matrix_oracle():
         dm = DofMap(mesh)
         beta = [1.0, 0.5, 2.0, 0.1, 1.0, 3.0, 0.25, 1.5, 1.0, 0.75][seed]
         A, _ = assemble_system(dm, _poly_problem(beta))
-        dense = np.asarray(A.matrix.todense())
+        dense = A.toarray()
         oracle = assemble_dense(mesh, dm, beta)
         worst = max(worst, np.abs(dense - oracle).max() / np.abs(oracle).max())
     report("4a", worst < 1e-12,
@@ -162,8 +161,7 @@ def test_criterion_4c_case_i_oracles():
         sol = solve_vi(A, b, cons)
         rows = [cons.state_row, cons.control_row]
         bounds = [cons.state_bound, cons.control_bound]
-        x_pg = projected_gradient(np.asarray(A.matrix.todense()), b,
-                                  rows, bounds)
+        x_pg = projected_gradient(A.toarray(), b, rows, bounds)
         scale = 1 + np.abs(sol.coefficients).max()
         worst = max(worst, np.abs(sol.coefficients - x_pg).max() / scale)
     report("4c", worst < 1e-8,
@@ -188,7 +186,7 @@ def test_criterion_4d_case_ii_oracle():
         cons = assemble_constraints(dm, prob)
         sol = solve_vi(A, b, cons)
         x_ref, mu_ref, lam_ref = exhaustive_box_solve(
-            np.asarray(A.matrix.todense()), b, cons.state_row,
+            A.toarray(), b, cons.state_row,
             cons.state_bound, cons.element_rows, cons.lower, cons.upper)
         scale = 1 + np.abs(x_ref).max()
         worst = max(worst, np.abs(sol.coefficients - x_ref).max() / scale)
@@ -335,7 +333,7 @@ def test_criterion_8_ex4_estimator_only(ex4_run):
 
 
 def test_criterion_9_determinism(tmp_path):
-    env = dict(os.environ, MORLEY_OCP_THREADS="0")
+    env = child_env()
     outs = []
     for name in ("d1", "d2"):
         out = tmp_path / name

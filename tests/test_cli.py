@@ -1,20 +1,15 @@
 import json
-import os
 import subprocess
 import sys
 
 import pytest
 
-PKG_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+from conftest import child_env
 
 
-def run_cli(args, env_extra=None, cwd=None):
-    env = dict(os.environ)
-    env["MORLEY_OCP_THREADS"] = "0"
-    if env_extra:
-        env.update(env_extra)
+def run_cli(args):
     return subprocess.run([sys.executable, "-m", "morley_ocp", *args],
-                          capture_output=True, text=True, env=env, cwd=cwd)
+                          capture_output=True, text=True, env=child_env())
 
 
 def read_csv(path):

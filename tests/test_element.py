@@ -2,13 +2,19 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from morley_ocp.element import (DofMap, ElementError, FeFunction, bubble,
-                                edge_rule, evaluate, integrate, interpolate,
-                                morley_basis, quadrature, triangle_rule,
+from morley_ocp.element import (DofMap, ElementError, FeFunction, edge_rule,
+                                integrate, interpolate, triangle_rule,
                                 bary_monomial_integral)
 from morley_ocp.mesh import initial_mesh, uniform_refine
 
-from oracles import tri_quad, edge_quad
+from oracles import tri_quad
+
+
+def evaluate(f, element, bary):
+    """(value, gradient, hessian) of ``f`` at one barycentric point."""
+    val, grad, hess = f.dofmap.eval_function(
+        f.coefficients, np.reshape(bary, (1, 1, 3)), np.array([element]))
+    return float(val[0, 0]), grad[0, 0], hess[0, 0]
 
 
 # -- quadrature --------------------------------------------------------
@@ -34,9 +40,9 @@ def test_edge_rule_quintic():
 
 def test_quadrature_factory_errors():
     with pytest.raises(ElementError):
-        quadrature("triangle", 11)
+        triangle_rule(11)
     with pytest.raises(ElementError):
-        quadrature("pentagon", 2)
+        edge_rule(22)
 
 
 @settings(max_examples=40, deadline=None)
@@ -48,87 +54,6 @@ def test_triangle_rule_exactness_vs_factorial_formula(a, b, c):
     r = triangle_rule(max(deg, 1))
     val = (r.points[:, 0]**a * r.points[:, 1]**b * r.points[:, 2]**c) @ r.weights
     assert val == pytest.approx(bary_monomial_integral((a, b, c)), rel=1e-12)
-
-
-# -- bubble ------------------------------------------------------------
-
-def test_bubble_values(reference_triangle_mesh):
-    m = reference_triangle_mesh
-    val, grad, hess = bubble(m, 0, (1/3, 1/3, 1/3))
-    assert val == pytest.approx(60.0 / 27.0, rel=1e-13)
-    for lam in ((0.0, 0.4, 0.6), (0.5, 0.0, 0.5), (0.2, 0.8, 0.0)):
-        v, _, _ = bubble(m, 0, lam)
-        assert v == pytest.approx(0.0, abs=1e-13)
-    # integral of the bubble = |T|, i.e. Q_T(b_T) = 1
-    r = triangle_rule(6)
-    vals = np.array([bubble(m, 0, lam)[0] for lam in r.points])
-    assert vals @ r.weights == pytest.approx(1.0, rel=1e-13)
-
-
-def test_bubble_rejects_bad_barycentric(reference_triangle_mesh):
-    with pytest.raises(ElementError):
-        bubble(reference_triangle_mesh, 0, (0.5, 0.5, 0.5))
-
-
-# -- Morley basis ------------------------------------------------------
-
-def _apply_morley_dofs(mesh, t, basis_at):
-    """Apply the six classical DOFs to callables returning LocalBasis."""
-    verts = np.eye(3)
-    D = np.zeros((6, 7))
-    vb = basis_at(verts)
-    D[:3] = vb.values
-    rule = edge_rule(5)
-    for k in range(3):
-        lam = np.zeros((len(rule.points), 3))
-        lam[:, (k + 1) % 3] = 1 - rule.points
-        lam[:, (k + 2) % 3] = rule.points
-        eb = basis_at(lam)
-        n = mesh.edge_normals[mesh.elem_edges[t, k]]
-        D[3 + k] = np.einsum("qjx,x,q->j", eb.gradients, n, rule.weights)
-    return D
-
-
-def test_morley_basis_duality(reference_triangle_mesh):
-    m = reference_triangle_mesh
-    D = _apply_morley_dofs(m, 0, lambda lam: morley_basis(m, 0, lam))
-    assert np.abs(D[:, :6] - np.eye(6)).max() < 1e-12
-
-
-def test_morley_basis_reproduces_quadratic(split_square_mesh):
-    m = split_square_mesh
-    rng = np.random.default_rng(3)
-
-    def q(x, y):
-        return x**2 - 0.5 * x * y + 2 * y - 1
-
-    def qg(x, y):
-        return np.stack([2 * x - 0.5 * y, -0.5 * x + 2.0], axis=-1)
-
-    for t in range(m.n_elements):
-        p = m.vertices[m.elements[t]]
-        # local DOF values of q
-        coeffs = np.zeros(7)
-        coeffs[:3] = q(p[:, 0], p[:, 1])
-        for k in range(3):
-            gid = m.elem_edges[t, k]
-            a, b = m.vertices[m.edges[gid]]
-            pts, w = edge_quad(a, b, 6)
-            g = qg(pts[:, 0], pts[:, 1])
-            coeffs[3 + k] = (g @ m.edge_normals[gid]) @ w / w.sum()
-        lam = rng.dirichlet([1, 1, 1], size=12)
-        basis = morley_basis(m, t, lam)
-        vals = basis.values[:, :6] @ coeffs[:6]
-        xy = lam @ p
-        assert np.allclose(vals, q(xy[:, 0], xy[:, 1]), atol=1e-12)
-
-
-def test_morley_hessians_constant(reference_triangle_mesh):
-    m = reference_triangle_mesh
-    lam = np.random.default_rng(0).dirichlet([1, 1, 1], size=5)
-    basis = morley_basis(m, 0, lam)
-    for j in range(6):
-        assert np.abs(basis.hessians[:, j] - basis.hessians[0, j]).max() < 1e-12
 
 
 # -- combined 7-DOF nodal basis ---------------------------------------

@@ -68,18 +68,18 @@ def test_marked_generation_increases(unit_cross):
 def test_refinement_edge_is_longest_edge():
     m = initial_mesh(0.0, 1.0, 2)
     for t in range(m.n_elements):
-        geo = m.element_geometry(t)
         k = m.refinement_edge[t]
-        assert geo["edge_lengths"][k] == pytest.approx(geo["h"], rel=1e-12)
+        assert m.edge_lengths[m.elem_edges[t, k]] == pytest.approx(
+            m.h_elements[t], rel=1e-12)
 
 
 def test_element_geometry_reference(reference_triangle_mesh):
-    geo = reference_triangle_mesh.element_geometry(0)
-    assert geo["area"] == pytest.approx(0.5, rel=1e-14)
-    assert geo["h"] == pytest.approx(np.sqrt(2.0), rel=1e-14)
+    m = reference_triangle_mesh
+    assert m.areas[0] == pytest.approx(0.5, rel=1e-14)
+    assert m.h_elements[0] == pytest.approx(np.sqrt(2.0), rel=1e-14)
     # gradient of the first barycentric coordinate of (0,0),(1,0),(0,1)
-    assert np.allclose(geo["grad_lambda"][0], [-1.0, -1.0])
-    assert np.allclose(geo["grad_lambda"].sum(axis=0), 0.0, atol=1e-14)
+    assert np.allclose(m.grad_lambda[0, 0], [-1.0, -1.0])
+    assert np.allclose(m.grad_lambda[0].sum(axis=0), 0.0, atol=1e-14)
 
 
 def test_grad_lambda_partition_of_unity():
@@ -90,21 +90,17 @@ def test_grad_lambda_partition_of_unity():
 def test_jump_frame_boundary_and_interior(unit_cross):
     m = unit_cross
     for e in range(m.n_edges):
-        plus, minus, n = m.edge_jump_frame(e)
+        plus, minus = m.edge_elements[e]
+        n = m.edge_normals[e]
         assert np.hypot(*n) == pytest.approx(1.0, rel=1e-14)
         mid = 0.5 * m.vertices[m.edges[e]].sum(axis=0)
         cp = m.vertices[m.elements[plus]].mean(axis=0)
-        if minus is None:
+        if minus < 0:
             # outward on the boundary
             assert n @ (cp - mid) < 0
         else:
             cm = m.vertices[m.elements[minus]].mean(axis=0)
             assert n @ (cp - mid) < 0 < n @ (cm - mid)
-    # determinism: repeated calls give identical frames
-    f1 = [m.edge_jump_frame(e) for e in range(m.n_edges)]
-    f2 = [m.edge_jump_frame(e) for e in range(m.n_edges)]
-    for (p1, m1, n1), (p2, m2, n2) in zip(f1, f2):
-        assert p1 == p2 and m1 == m2 and np.array_equal(n1, n2)
 
 
 def test_normal_flips_with_endpoint_order():

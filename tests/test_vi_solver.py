@@ -8,7 +8,7 @@ from morley_ocp.mesh import initial_mesh, uniform_refine
 from morley_ocp.problems import ProblemSpec, example, manufactured
 from morley_ocp.vi_solver import (SolverConfig, SolverError, SpdSolver,
                                   kkt_residual, solve_case_i, solve_case_ii,
-                                  solve_equality_qp, solve_spd, solve_vi)
+                                  solve_equality_qp, solve_vi)
 
 from conftest import random_mesh
 from oracles import exhaustive_box_solve, projected_gradient
@@ -25,14 +25,14 @@ def setup_case_i(problem, mesh):
 
 def test_solve_spd_zero_rhs():
     A = sp.csr_matrix(np.diag([1.0, 2.0, 3.0]))
-    assert np.all(solve_spd(A, np.zeros(3)) == 0)
+    assert np.all(SpdSolver(A).solve(np.zeros(3)) == 0)
 
 
 def test_solve_spd_diagonal():
     d = np.array([2.0, 4.0, 8.0, 16.0])
     A = sp.csr_matrix(np.diag(d))
     rhs = np.array([2.0, 4.0, 8.0, 16.0])
-    assert np.allclose(solve_spd(A, rhs), np.ones(4), atol=1e-14)
+    assert np.allclose(SpdSolver(A).solve(rhs), np.ones(4), atol=1e-14)
 
 
 def test_solve_spd_random_matrix_residual():
@@ -40,32 +40,13 @@ def test_solve_spd_random_matrix_residual():
     M = rng.standard_normal((50, 50))
     A = sp.csr_matrix(M @ M.T + 50 * np.eye(50))
     b = rng.standard_normal(50)
-    x = solve_spd(A, b)
+    x = SpdSolver(A).solve(b)
     assert np.linalg.norm(A @ x - b) / np.linalg.norm(b) <= 1e-12
 
 
-def test_cg_fallback_path(monkeypatch):
-    # force the factorization to fail so the Jacobi-preconditioned CG
-    # fallback carries the solve
-    import morley_ocp.vi_solver as vs
-
-    def boom(*a, **k):
-        raise RuntimeError("synthetic factorization failure")
-
-    monkeypatch.setattr(vs.spla, "splu", boom)
-    rng = np.random.default_rng(3)
-    M = rng.standard_normal((30, 30))
-    A = sp.csr_matrix(M @ M.T + 30 * np.eye(30))
-    b = rng.standard_normal(30)
-    solver = vs.SpdSolver(A)
-    assert solver._lu is None
-    x = solver.solve(b)
-    assert np.linalg.norm(A @ x - b) / np.linalg.norm(b) <= 1e-10
-
-    # a negative diagonal cannot even be preconditioned: hard error
-    bad = sp.csr_matrix(np.diag([1.0, -1.0]))
-    with pytest.raises(SolverError):
-        vs.SpdSolver(bad)
+def test_singular_factorization_raises():
+    with pytest.raises(SolverError, match="factorization failed"):
+        SpdSolver(sp.csr_matrix(np.diag([1.0, 0.0])))
 
 
 def test_pdas_iteration_cap_raises():
@@ -89,7 +70,7 @@ def test_equality_qp_no_rows(unit_cross):
     dm, A, b, cons = setup_case_i(manufactured(0), unit_cross)
     x, nu, _ = solve_equality_qp(A, b, None, [])
     assert len(nu) == 0
-    assert np.linalg.norm(A.matrix @ x - b, np.inf) < 1e-9 * np.abs(b).max()
+    assert np.linalg.norm(A @ x - b, np.inf) < 1e-9 * np.abs(b).max()
 
 
 def test_equality_qp_single_row(unit_cross):
@@ -97,7 +78,7 @@ def test_equality_qp_single_row(unit_cross):
     t = 0.123
     x, nu, cond = solve_equality_qp(A, b, cons.state_row[None, :], [t])
     assert cons.state_row @ x == pytest.approx(t, abs=1e-10)
-    r = A.matrix @ x - b - nu[0] * cons.state_row
+    r = A @ x - b - nu[0] * cons.state_row
     assert np.abs(r).max() < 1e-10 * max(1, np.abs(b).max())
     assert np.isfinite(cond)
 
@@ -109,7 +90,7 @@ def test_equality_qp_two_rows(unit_cross):
     x, nu, _ = solve_equality_qp(A, b, rows, targets)
     assert cons.state_row @ x == pytest.approx(0.05, abs=1e-10)
     assert cons.control_row @ x == pytest.approx(1.5, abs=1e-9)
-    r = A.matrix @ x - b - rows.T @ nu
+    r = A @ x - b - rows.T @ nu
     assert np.abs(r).max() < 1e-10 * max(1, np.abs(b).max())
 
 
@@ -148,7 +129,7 @@ def test_equality_qp_saddle_path_matches_schur(monkeypatch):
         # the refined saddle answer satisfies the true KKT system
         assert np.abs(R @ x2 - targets).max() <= 1e-10 * max(
             1.0, np.abs(targets).max())
-        r = A.matrix @ x2 - b - R.T @ nu2
+        r = A @ x2 - b - R.T @ nu2
         assert np.abs(r).max() <= 1e-9 * np.abs(b).max()
 
 
@@ -199,12 +180,12 @@ def test_case_i_matches_projected_gradient_and_enumeration(seed):
     rows = [cons.state_row, cons.control_row]
     bounds = [cons.state_bound, cons.control_bound]
 
-    x_pg = projected_gradient(np.asarray(A.matrix.todense()), b, rows, bounds)
+    x_pg = projected_gradient(A.toarray(), b, rows, bounds)
     scale = 1 + np.abs(sol.coefficients).max()
     assert np.abs(sol.coefficients - x_pg).max() / scale < 1e-8
 
     # independent dense enumeration of the four candidates
-    Ad = np.asarray(A.matrix.todense())
+    Ad = A.toarray()
     best = None
     for active in [(), (0,), (1,), (0, 1)]:
         k = len(active)
@@ -292,7 +273,7 @@ def test_case_ii_matches_exhaustive_enumeration(unit_cross, cfg):
     cons = assemble_constraints(dm, prob)
     sol = solve_case_ii(A, b, cons)
     x_ref, mu_ref, lam_ref = exhaustive_box_solve(
-        np.asarray(A.matrix.todense()), b, cons.state_row, cons.state_bound,
+        A.toarray(), b, cons.state_row, cons.state_bound,
         cons.element_rows, cons.lower, cons.upper)
     scale = 1 + np.abs(x_ref).max()
     assert np.abs(sol.coefficients - x_ref).max() / scale < 1e-8
@@ -313,7 +294,7 @@ def test_case_ii_eight_element_enumeration():
     cons = assemble_constraints(dm, prob)
     sol = solve_case_ii(A, b, cons)
     x_ref, mu_ref, lam_ref = exhaustive_box_solve(
-        np.asarray(A.matrix.todense()), b, cons.state_row, cons.state_bound,
+        A.toarray(), b, cons.state_row, cons.state_bound,
         cons.element_rows, cons.lower, cons.upper)
     scale = 1 + np.abs(x_ref).max()
     assert np.abs(sol.coefficients - x_ref).max() / scale < 1e-8
@@ -380,7 +361,7 @@ def test_energy_optimality_under_feasible_perturbations():
     x = sol.coefficients
     rows = [cons.state_row, cons.control_row]
     bounds = [cons.state_bound, cons.control_bound]
-    J = lambda v: 0.5 * v @ (A.matrix @ v) - b @ v
+    J = lambda v: 0.5 * v @ (A @ v) - b @ v
     J0 = J(x)
     rng = np.random.default_rng(9)
     for _ in range(20):
@@ -398,10 +379,10 @@ def test_discrete_variational_inequality():
     rows = [cons.state_row, cons.control_row]
     bounds = [cons.state_bound, cons.control_bound]
     rng = np.random.default_rng(10)
-    scale = max(1.0, abs(0.5 * x @ (A.matrix @ x) - b @ x))
+    scale = max(1.0, abs(0.5 * x @ (A @ x) - b @ x))
     for _ in range(20):
         w = _project_feasible(rng.standard_normal(len(x)), rows, bounds)
-        lhs = (A.matrix @ x) @ (w - x)
+        lhs = (A @ x) @ (w - x)
         rhs = b @ (w - x)
         assert lhs >= rhs - 1e-9 * scale
 
