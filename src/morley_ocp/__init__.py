@@ -37,7 +37,7 @@ from .element import (DofMap, FeFunction, QuadratureRule,  # noqa: E402
                       interpolate, integrate)
 from .assembly import (ConstraintSet, assemble_constraints,  # noqa: E402
                        assemble_system, element_laplacian_rows)
-from .vi_solver import (SolverConfig, SolverError, SpdSolver, ViSolution,  # noqa: E402
+from .vi_solver import (SolverError, SpdSolver, ViSolution,  # noqa: E402
                         kkt_residual, solve_case_i, solve_case_ii,
                         solve_equality_qp, solve_vi)
 from .estimator import (ErrorReport, EstimatorBreakdown, estimate,  # noqa: E402
@@ -52,7 +52,7 @@ __all__ = [
     "DofMap", "FeFunction", "QuadratureRule", "interpolate", "integrate",
     "ConstraintSet", "assemble_constraints", "assemble_system",
     "element_laplacian_rows",
-    "SolverConfig", "SolverError", "SpdSolver", "ViSolution",
+    "SolverError", "SpdSolver", "ViSolution",
     "kkt_residual", "solve_case_i", "solve_case_ii", "solve_equality_qp",
     "solve_vi",
     "ErrorReport", "EstimatorBreakdown", "estimate", "eta_edges",

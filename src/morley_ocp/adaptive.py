@@ -21,9 +21,12 @@ from .assembly import assemble_constraints, assemble_system
 from .element import DofMap
 from .estimator import estimate, true_error
 from .mesh import bisect, initial_mesh
-from .vi_solver import SolverConfig, SolverError, kkt_residual, solve_vi
+from .vi_solver import SolverError, kkt_residual, solve_vi
 
 logger = logging.getLogger("morley_ocp.adaptive")
+
+# the loop stops after this many iterations even below the DoF budget
+MAX_ITERATIONS = 80
 
 
 class AdaptiveError(Exception):
@@ -38,7 +41,6 @@ class AdaptiveError(Exception):
 class AdaptConfig:
     theta: float = 0.3
     max_dofs: int = 30000
-    max_iterations: int = 80
     uniform: bool = False
     initial_subdivisions: int = 4
 
@@ -142,13 +144,13 @@ def _lambda_summary(solution):
     return f"min={lmin!r};max={lmax!r};nlo={nlo};nup={nup}", lmin, lmax, nlo, nup
 
 
-def solve_on_mesh(problem, mesh, solver_config=None):
+def solve_on_mesh(problem, mesh):
     """One SOLVE+ESTIMATE pass; returns (dofmap, solution, breakdown,
     error_report, kkt)."""
     dofmap = DofMap(mesh)
     A, b = assemble_system(dofmap, problem)
     cons = assemble_constraints(dofmap, problem)
-    solution = solve_vi(A, b, cons, solver_config)
+    solution = solve_vi(A, b, cons)
     kkt = kkt_residual(A, b, cons, solution)
     breakdown = estimate(dofmap, solution, problem)
     report = None
@@ -158,24 +160,23 @@ def solve_on_mesh(problem, mesh, solver_config=None):
     return dofmap, solution, breakdown, report, kkt
 
 
-def adaptive_solve(problem, adapt=None, solver=None):
-    """Run the adaptive loop until the DOF budget or iteration cap.
+def adaptive_solve(problem, adapt=None):
+    """Run the adaptive loop until the DOF budget or MAX_ITERATIONS.
 
     Returns an AdaptiveRun; solver failures raise AdaptiveError naming the
     iteration.
     """
     adapt = adapt or AdaptConfig()
-    solver = solver or SolverConfig()
     lo, hi = problem.square
     mesh = initial_mesh(lo, hi, adapt.initial_subdivisions)
     records = []
     run = AdaptiveRun(records)
 
-    for it in range(adapt.max_iterations):
+    for it in range(MAX_ITERATIONS):
         t0 = time.perf_counter()
         try:
             dofmap, solution, breakdown, report, kkt = solve_on_mesh(
-                problem, mesh, solver)
+                problem, mesh)
         except SolverError as exc:
             raise AdaptiveError(str(exc), it) from exc
         wall_ms = 1000.0 * (time.perf_counter() - t0)
@@ -208,7 +209,7 @@ def adaptive_solve(problem, adapt=None, solver=None):
                     "-" if rec.energy_error is None else f"{rec.energy_error:.4e}",
                     wall_ms)
 
-        if dofmap.n_dofs > adapt.max_dofs or it + 1 >= adapt.max_iterations:
+        if dofmap.n_dofs > adapt.max_dofs or it + 1 >= MAX_ITERATIONS:
             break
         if adapt.uniform:
             marked = np.arange(mesh.n_elements)

@@ -182,7 +182,6 @@ def run_solve(args):
     from . import deterministic_mode
     from .adaptive import AdaptConfig, AdaptiveError, adaptive_solve
     from .problems import ProblemError, example, manufactured
-    from .vi_solver import SolverConfig
 
     try:
         if args.problem.startswith("ex"):
@@ -196,15 +195,10 @@ def run_solve(args):
         return 2
 
     adapt = AdaptConfig(theta=args.theta, max_dofs=args.max_dofs,
-                        max_iterations=args.max_iterations,
                         uniform=args.uniform,
                         initial_subdivisions=args.subdivisions)
-    solver = SolverConfig(linear_tolerance=args.linear_tolerance,
-                          pdas_max_iterations=args.pdas_max_iterations,
-                          pdas_c=args.pdas_c,
-                          complementarity_tolerance=args.complementarity_tolerance)
     try:
-        run = adaptive_solve(problem, adapt, solver)
+        run = adaptive_solve(problem, adapt)
     except AdaptiveError as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return 3
@@ -221,12 +215,7 @@ def run_solve(args):
         "config": {
             "problem": args.problem, "seed": args.seed,
             "theta": args.theta, "max_dofs": args.max_dofs,
-            "max_iterations": args.max_iterations, "uniform": args.uniform,
-            "subdivisions": args.subdivisions,
-            "linear_tolerance": args.linear_tolerance,
-            "pdas_max_iterations": args.pdas_max_iterations,
-            "pdas_c": args.pdas_c,
-            "complementarity_tolerance": args.complementarity_tolerance,
+            "uniform": args.uniform, "subdivisions": args.subdivisions,
             "deterministic": det,
         },
         "records": [dict(r.to_dict(), wall_ms=0.0) if det else r.to_dict()
@@ -262,6 +251,14 @@ def run_solve(args):
     return 0
 
 
+def _is_record(r):
+    """A run.json record holding the numbers ``report`` reads."""
+    return isinstance(r, dict) and all(
+        isinstance(r.get(k), (int, float)) for k in ("iteration", "dofs", "eta_h")
+    ) and all(isinstance(r.get(k), (int, float, type(None)))
+              for k in ("energy_error", "eff_index"))
+
+
 def run_report(args):
     runs = []
     for path in args.runs:
@@ -271,16 +268,15 @@ def run_report(args):
         except (OSError, json.JSONDecodeError) as exc:
             print(f"cannot read run file {p}: {exc}", file=sys.stderr)
             return 2
-        if (not isinstance(payload, dict) or "records" not in payload
-                or "config" not in payload
-                or not all("dofs" in r and "eta_h" in r
-                           for r in payload["records"])):
+        cfg = payload.get("config") if isinstance(payload, dict) else None
+        records = payload.get("records") if isinstance(payload, dict) else None
+        if (not isinstance(cfg, dict) or not isinstance(records, list)
+                or not all(map(_is_record, records))):
             print(f"schema mismatch in {p}", file=sys.stderr)
             return 2
-        cfg = payload["config"]
         label = str(cfg.get("problem", p.stem)) \
             + (" uniform" if cfg.get("uniform") else " adaptive")
-        runs.append((label, payload["records"]))
+        runs.append((label, records))
 
     out = Path(args.out or "report")
     out.mkdir(parents=True, exist_ok=True)
@@ -320,8 +316,6 @@ def build_parser():
                     help="ex1..ex4 or 'manufactured'")
     sp.add_argument("--theta", type=float, default=0.3)
     sp.add_argument("--max-dofs", type=int, default=50000, dest="max_dofs")
-    sp.add_argument("--max-iterations", type=int, default=80,
-                    dest="max_iterations")
     sp.add_argument("--uniform", action="store_true")
     sp.add_argument("--out", default=None)
     sp.add_argument("--svg", action="store_true")
@@ -329,13 +323,6 @@ def build_parser():
     sp.add_argument("--active-state", action="store_true", dest="active_state",
                     help="manufactured problems: make the state bound active")
     sp.add_argument("--subdivisions", type=int, default=4)
-    sp.add_argument("--linear-tolerance", type=float, default=1e-12,
-                    dest="linear_tolerance")
-    sp.add_argument("--pdas-max-iterations", type=int, default=50,
-                    dest="pdas_max_iterations")
-    sp.add_argument("--pdas-c", type=float, default=1.0, dest="pdas_c")
-    sp.add_argument("--complementarity-tolerance", type=float, default=1e-9,
-                    dest="complementarity_tolerance")
     sp.set_defaults(func=run_solve)
 
     rp = sub.add_parser("report", help="merge run.json files")

@@ -164,7 +164,7 @@ def estimate(dofmap: DofMap, solution, problem):
                               indicators, data_oscillation(dofmap, problem))
 
 
-def broken_norms(dofmap: DofMap, y, exact, beta):
+def broken_norms(dofmap: DofMap, y, exact):
     """(L2, broken-H2 seminorm) of (exact - y) by degree-8 quadrature."""
     mesh = dofmap.mesh
     rule = triangle_rule(ERROR_RULE_DEGREE)
@@ -180,7 +180,7 @@ def broken_norms(dofmap: DofMap, y, exact, beta):
 def true_error(dofmap: DofMap, y, exact, beta, eta_h=None):
     """ErrorReport in the discrete norm; the efficiency index requires the
     estimator total."""
-    l2, h2 = broken_norms(dofmap, y, exact, beta)
+    l2, h2 = broken_norms(dofmap, y, exact)
     energy = float(np.sqrt(beta * h2**2 + l2**2))
     eff = None if eta_h is None or energy == 0.0 else float(eta_h / energy)
     return ErrorReport(energy, l2, h2, eff)

@@ -48,27 +48,25 @@ SCHUR_ROW_LIMIT = 64
 SADDLE_REGULARIZATION = 1e-10
 
 # at most this many refinement steps after the first solve; refinement
-# stops once a step no longer halves the residual, and a solve whose
-# relative residual stays above RESIDUAL_LIMIT is rejected
+# stops once the relative residual meets LINEAR_TOLERANCE or a step no
+# longer halves it, and a solve whose relative residual stays above
+# RESIDUAL_LIMIT is rejected
 REFINE_STEPS = 8
+LINEAR_TOLERANCE = 1e-12
 RESIDUAL_LIMIT = 1e-6
+
+# PDAS switching constant c and iteration cap (Hintermueller, Ito and
+# Kunisch, SIAM J. Optim. 13, 2002)
+PDAS_C = 1.0
+PDAS_MAX_ITERATIONS = 50
+
+# multiplier signs are checked against this times the load scale, primal
+# feasibility against this times max(1, |bound|)
+COMPLEMENTARITY_TOLERANCE = 1e-9
 
 
 class SolverError(Exception):
     pass
-
-
-@dataclass
-class SolverConfig:
-    linear_tolerance: float = 1e-12
-    pdas_max_iterations: int = 50
-    pdas_c: float = 1.0
-    complementarity_tolerance: float = 1e-9
-
-    def __post_init__(self):
-        if min(self.linear_tolerance, self.pdas_max_iterations,
-               self.pdas_c, self.complementarity_tolerance) <= 0:
-            raise SolverError("solver configuration values must be positive")
 
 
 @dataclass
@@ -98,20 +96,20 @@ def _rel_residual(R, B):
     return float(np.max(num / np.where(denom == 0, 1.0, denom)))
 
 
-def _refine(K, solve, B, tol):
+def _refine(K, solve, B):
     """Solve ``K X = B`` with the approximate inverse ``solve`` plus
     iterative refinement against ``K``.
 
-    Refines until the relative residual meets ``tol`` or stops falling (it
-    no longer halves: the float64 floor of an ill-conditioned system), keeps
-    the best iterate, and raises SolverError when that is still above
-    RESIDUAL_LIMIT.
+    Refines until the relative residual meets LINEAR_TOLERANCE or stops
+    falling (it no longer halves: the float64 floor of an ill-conditioned
+    system), keeps the best iterate, and raises SolverError when that is
+    still above RESIDUAL_LIMIT.
     """
     X = solve(B)
     R = B - K @ X
     res = _rel_residual(R, B)
     for _ in range(REFINE_STEPS):
-        if res <= tol:
+        if res <= LINEAR_TOLERANCE:
             break
         X1 = X + solve(R)
         R1 = B - K @ X1
@@ -125,7 +123,7 @@ def _refine(K, solve, B, tol):
     if res > RESIDUAL_LIMIT:
         raise SolverError(f"linear solve failed (relative residual "
                           f"{res:.2e})")
-    if res > 1e2 * tol:
+    if res > 1e2 * LINEAR_TOLERANCE:
         logger.debug("linear solve stalled at relative residual %.2e "
                      "(conditioning floor)", res)
     return X
@@ -135,13 +133,12 @@ class SpdSolver:
     """Symmetric-mode SuperLU factorization of a sparse SPD matrix; a
     failed factorization raises SolverError.
 
-    ``solve`` refines iteratively until the relative residual meets the
-    configured tolerance.
+    ``solve`` refines iteratively until the relative residual meets
+    LINEAR_TOLERANCE.
     """
 
-    def __init__(self, A, config: SolverConfig | None = None):
+    def __init__(self, A):
         self.A = A
-        self.config = config or SolverConfig()
         try:
             self._lu = _symmetric_splu(A)
         except RuntimeError as exc:
@@ -151,7 +148,7 @@ class SpdSolver:
         rhs = np.asarray(rhs, dtype=float)
         single = rhs.ndim == 1
         B = rhs[:, None] if single else rhs
-        X = _refine(self.A, self._lu.solve, B, self.config.linear_tolerance)
+        X = _refine(self.A, self._lu.solve, B)
         return X[:, 0] if single else X
 
 
@@ -177,15 +174,14 @@ def _schur(x0, Y, R, targets):
     return x, nu, cond
 
 
-def solve_equality_qp(A, b, rows, targets, config=None, solver=None):
+def solve_equality_qp(A, b, rows, targets, solver=None):
     """Minimize 1/2 x'Ax - b'x subject to rows @ x = targets.
 
     ``rows`` is a (k, n) array or sparse matrix of linearly independent
     functionals.  Returns (x, multipliers, schur_condition) with the
     stationarity convention ``A x - b - rows' @ multipliers = 0``.
     """
-    config = config or SolverConfig()
-    solver = solver or SpdSolver(A, config)
+    solver = solver or SpdSolver(A)
     targets = np.asarray(targets, dtype=float)
     k = 0 if rows is None else (rows.shape[0] if sp.issparse(rows)
                                 else len(rows))
@@ -204,16 +200,20 @@ def solve_equality_qp(A, b, rows, targets, config=None, solver=None):
     except RuntimeError as exc:
         raise SolverError("saddle factorization failed (dependent active "
                           "rows?)") from exc
-    sol = _refine(K, lu.solve, np.concatenate([b, targets]),
-                  config.linear_tolerance)
+    sol = _refine(K, lu.solve, np.concatenate([b, targets]))
     return sol[:n], -sol[n:], np.nan
 
 
-def _feas_tol(config, bound):
-    return config.complementarity_tolerance * max(1.0, abs(bound))
+def _load_scale(b):
+    """max(1, max|b|): the scale of multiplier signs and stationarity."""
+    return max(1.0, float(np.max(np.abs(b))) if len(b) else 1.0)
 
 
-def solve_case_i(A, b, constraints: ConstraintSet, config=None):
+def _feas_tol(bound):
+    return COMPLEMENTARITY_TOLERANCE * max(1.0, abs(bound))
+
+
+def solve_case_i(A, b, constraints: ConstraintSet):
     """Exact active-set enumeration for the two-scalar-row case.
 
     Tries the candidates {}, {state}, {control}, {state, control} in order
@@ -221,17 +221,15 @@ def solve_case_i(A, b, constraints: ConstraintSet, config=None):
     multipliers.  ``x0 = A^{-1} b`` and ``Y = A^{-1} [s c]`` are computed
     once; each pinned candidate is then a Schur solve of at most 2x2.
     """
-    config = config or SolverConfig()
     if constraints.case != "integral":
         raise SolverError("solve_case_i needs an integral-case ConstraintSet")
-    solver = SpdSolver(A, config)
+    solver = SpdSolver(A)
     rows = np.vstack([constraints.state_row, constraints.control_row])
     bounds = np.array([constraints.state_bound, constraints.control_bound])
-    bscale = max(1.0, float(np.max(np.abs(b))) if len(b) else 1.0)
-    sign_tol = config.complementarity_tolerance * bscale
-    feas_tol = np.array([_feas_tol(config, d) for d in bounds])
+    sign_tol = COMPLEMENTARITY_TOLERANCE * _load_scale(b)
+    feas_tol = np.array([_feas_tol(d) for d in bounds])
 
-    x0 = solve_equality_qp(A, b, None, [], config, solver)[0]
+    x0 = solve_equality_qp(A, b, None, [], solver)[0]
     Y = solver.solve(rows.T)
     candidates = [(), (0,), (1,), (0, 1)]
     for tried, active in enumerate(candidates, start=1):
@@ -257,28 +255,26 @@ def solve_case_i(A, b, constraints: ConstraintSet, config=None):
                       "signed multipliers (Slater violation or bad data)")
 
 
-def solve_case_ii(A, b, constraints: ConstraintSet, config=None):
+def solve_case_ii(A, b, constraints: ConstraintSet):
     """Primal-dual active set iteration for per-element control boxes.
 
     The scalar state row is handled by an outer enumeration (inactive
     branch first); inside, the standard PDAS switching rule on the
     element-average residuals updates the sets until they repeat.
     """
-    config = config or SolverConfig()
     if constraints.case != "box":
         raise SolverError("solve_case_ii needs a box-case ConstraintSet")
-    solver = SpdSolver(A, config)
+    solver = SpdSolver(A)
     s, ds = constraints.state_row, constraints.state_bound
     areas = constraints.areas
     if areas is None:
         raise SolverError("box-case ConstraintSet is missing element areas")
-    bscale = max(1.0, float(np.max(np.abs(b))) if len(b) else 1.0)
-    sign_tol = config.complementarity_tolerance * bscale
+    sign_tol = COMPLEMENTARITY_TOLERANCE * _load_scale(b)
 
     last_error = None
     for state_active in (False, True):
         try:
-            result = _pdas(A, b, constraints, config, solver, state_active, areas)
+            result = _pdas(A, b, constraints, solver, state_active, areas)
         except SolverError as exc:
             last_error = exc
             continue
@@ -286,7 +282,7 @@ def solve_case_ii(A, b, constraints: ConstraintSet, config=None):
         if state_active and mu < -sign_tol:
             last_error = SolverError("state-active branch produced mu < 0")
             continue
-        if not state_active and s @ x < ds - _feas_tol(config, ds):
+        if not state_active and s @ x < ds - _feas_tol(ds):
             last_error = SolverError("state-inactive branch is infeasible")
             continue
         return ViSolution(
@@ -297,21 +293,20 @@ def solve_case_ii(A, b, constraints: ConstraintSet, config=None):
                       f"{last_error}")
 
 
-def _pdas(A, b, constraints, config, solver, state_active, areas):
+def _pdas(A, b, constraints, solver, state_active, areas):
     s, ds = constraints.state_row, constraints.state_bound
     rows, lower, upper = (constraints.element_rows, constraints.lower,
                           constraints.upper)
     nt = rows.shape[0]
     q_lo = lower / areas
     q_up = upper / areas
-    c = config.pdas_c
 
     lam = np.zeros(nt)
     act_lo = np.zeros(nt, dtype=bool)
     act_up = np.zeros(nt, dtype=bool)
     seen = set()
     cond = np.nan
-    for it in range(1, config.pdas_max_iterations + 1):
+    for it in range(1, PDAS_MAX_ITERATIONS + 1):
         ids_lo = np.flatnonzero(act_lo)
         ids_up = np.flatnonzero(act_up)
         pinned = sp.vstack([rows[ids_lo], rows[ids_up]], format="csr") \
@@ -326,7 +321,7 @@ def _pdas(A, b, constraints, config, solver, state_active, areas):
             targets.extend(lower[ids_lo])
             targets.extend(upper[ids_up])
         R = sp.vstack(blocks, format="csr") if blocks else None
-        x, nu, cond = solve_equality_qp(A, b, R, targets, config, solver)
+        x, nu, cond = solve_equality_qp(A, b, R, targets, solver)
 
         mu = 0.0
         off = 0
@@ -338,8 +333,8 @@ def _pdas(A, b, constraints, config, solver, state_active, areas):
 
         r = np.asarray(rows @ x)
         q_r = r / areas
-        new_lo = lam + c * (q_lo - q_r) > 0
-        new_up = lam + c * (q_up - q_r) < 0
+        new_lo = lam + PDAS_C * (q_lo - q_r) > 0
+        new_up = lam + PDAS_C * (q_up - q_r) < 0
         if logger.isEnabledFor(logging.DEBUG):
             logger.debug("pdas it=%d state=%s |A_a|=%d |A_b|=%d stat=%.3e",
                          it, state_active, int(new_lo.sum()),
@@ -357,14 +352,14 @@ def _pdas(A, b, constraints, config, solver, state_active, areas):
         seen.add((act_lo.tobytes(), act_up.tobytes()))
         act_lo, act_up = new_lo, new_up
     raise SolverError(f"primal-dual active set did not converge in "
-                      f"{config.pdas_max_iterations} iterations")
+                      f"{PDAS_MAX_ITERATIONS} iterations")
 
 
-def solve_vi(A, b, constraints, config=None):
+def solve_vi(A, b, constraints):
     """Dispatch on the constraint case."""
     if constraints.case == "integral":
-        return solve_case_i(A, b, constraints, config)
-    return solve_case_ii(A, b, constraints, config)
+        return solve_case_i(A, b, constraints)
+    return solve_case_ii(A, b, constraints)
 
 
 def kkt_residual(A, b, constraints, solution):
@@ -404,6 +399,5 @@ def kkt_residual(A, b, constraints, solution):
                            np.where(lam < 0, lam * (vals - upper), 0.0))
         comp = max(comp, float(np.max(np.abs(comp_el) / scale, initial=0.0)))
 
-    bscale = max(1.0, float(np.max(np.abs(b))) if len(b) else 1.0)
-    stationarity = float(np.max(np.abs(r))) / bscale
+    stationarity = float(np.max(np.abs(r))) / _load_scale(b)
     return stationarity, max(0.0, feas), comp

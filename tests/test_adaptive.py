@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
-from morley_ocp.adaptive import (AdaptConfig, RunRecord, adaptive_solve,
-                                 doerfler_mark, fit_slope)
+from morley_ocp import cli
+from morley_ocp.adaptive import (AdaptConfig, AdaptiveError, RunRecord,
+                                 adaptive_solve, doerfler_mark, fit_slope)
 from morley_ocp.problems import example, manufactured
+from morley_ocp.vi_solver import SolverError
 
 
 def _rec(i, dofs, eta):
@@ -83,9 +85,11 @@ def test_fit_slope_window_validation():
 
 # -- adaptive loop -----------------------------------------------------------
 
-def test_single_iteration_run():
-    run = adaptive_solve(manufactured(0),
-                         AdaptConfig(max_iterations=1, initial_subdivisions=2))
+def test_single_iteration_run(monkeypatch):
+    import morley_ocp.adaptive as adaptive
+
+    monkeypatch.setattr(adaptive, "MAX_ITERATIONS", 1)
+    run = adaptive_solve(manufactured(0), AdaptConfig(initial_subdivisions=2))
     assert len(run.records) == 1
     assert run.mesh.n_elements == 16   # initial criss-cross, never refined
 
@@ -146,3 +150,32 @@ def test_zero_indicators_stop_with_the_record(monkeypatch):
     assert len(run.records) == 1
     assert run.records[0].dofs == run.dofmap.n_dofs
     assert run.solution is not None
+
+
+def test_solver_failure_names_the_iteration(monkeypatch, capsys, tmp_path):
+    # a solver failure on the first refined mesh surfaces as AdaptiveError
+    # at iteration 1, and `solve` turns it into exit code 3
+    import morley_ocp.adaptive as adaptive
+
+    real = adaptive.solve_vi
+
+    def failing_second_call():
+        calls = []
+
+        def solve_vi(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == 2:
+                raise SolverError("injected failure")
+            return real(*args, **kwargs)
+        return solve_vi
+
+    monkeypatch.setattr(adaptive, "solve_vi", failing_second_call())
+    with pytest.raises(AdaptiveError) as info:
+        adaptive_solve(manufactured(0), AdaptConfig(initial_subdivisions=1))
+    assert info.value.iteration == 1
+
+    monkeypatch.setattr(adaptive, "solve_vi", failing_second_call())
+    code = cli.run(["solve", "--problem", "manufactured", "--subdivisions",
+                    "1", "--out", str(tmp_path / "run")])
+    assert code == 3
+    assert "solver failure: iteration 1" in capsys.readouterr().err

@@ -139,13 +139,22 @@ def test_report_corrupted_json_exits_2(tmp_path):
 
 def test_report_schema_mismatch_exits_2(tmp_path):
     bad = tmp_path / "weird.json"
-    bad.write_text(json.dumps({"records": [{"nope": 1}]}))
-    res = run_cli(["report", str(bad)])
-    assert res.returncode == 2
-    assert "weird.json" in res.stderr
+    for payload in (
+            {"records": [{"nope": 1}]},
+            {"config": {}, "records": [1]},
+            {"config": [], "records": [{"dofs": 10, "eta_h": 1.0,
+                                        "iteration": 0}]},
+            {"config": {}, "records": [{"dofs": 10, "eta_h": "x",
+                                        "iteration": 0}]}):
+        bad.write_text(json.dumps(payload))
+        res = run_cli(["report", str(bad)])
+        assert res.returncode == 2
+        assert f"schema mismatch in {bad}" in res.stderr
 
 
 def test_bad_flags_exit_2():
     assert run_cli(["solve"]).returncode == 2
     assert run_cli(["solve", "--problem", "ex9", "--max-dofs", "100"]).returncode == 2
     assert run_cli(["frobnicate"]).returncode == 2
+    assert run_cli(["solve", "--problem", "ex1", "--linear-tolerance",
+                    "0"]).returncode == 2

@@ -156,7 +156,7 @@ def test_manufactured_inactive_error_decreases():
         cons = assemble_constraints(dm, p)
         sol = solve_vi(A, b, cons)
         assert sol.mu == 0.0 and sol.lam == 0.0
-        l2, h2 = broken_norms(dm, sol.coefficients, p.exact, p.beta)
+        l2, h2 = broken_norms(dm, sol.coefficients, p.exact)
         errs.append(np.sqrt(p.beta * h2**2 + l2**2))
         mesh = uniform_refine(mesh, 2)
     assert errs[2] < errs[1] < errs[0]

@@ -2,12 +2,13 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from morley_ocp import vi_solver
 from morley_ocp.assembly import assemble_constraints, assemble_system
 from morley_ocp.element import DofMap
 from morley_ocp.mesh import initial_mesh, uniform_refine
 from morley_ocp.problems import ProblemSpec, example, manufactured
-from morley_ocp.vi_solver import (SolverConfig, SolverError, SpdSolver,
-                                  kkt_residual, solve_case_i, solve_case_ii,
+from morley_ocp.vi_solver import (SolverError, SpdSolver, kkt_residual,
+                                  solve_case_i, solve_case_ii,
                                   solve_equality_qp, solve_vi)
 
 from conftest import random_mesh
@@ -49,19 +50,15 @@ def test_singular_factorization_raises():
         SpdSolver(sp.csr_matrix(np.diag([1.0, 0.0])))
 
 
-def test_pdas_iteration_cap_raises():
+def test_pdas_iteration_cap_raises(monkeypatch):
+    monkeypatch.setattr(vi_solver, "PDAS_MAX_ITERATIONS", 1)
     prob = example(4)
     mesh = initial_mesh(0.0, 1.0, 2)
     dm = DofMap(mesh)
     A, b = assemble_system(dm, prob)
     cons = assemble_constraints(dm, prob)
-    with pytest.raises(SolverError):
-        solve_case_ii(A, b, cons, SolverConfig(pdas_max_iterations=1))
-
-
-def test_config_validation():
-    with pytest.raises(SolverError):
-        SolverConfig(linear_tolerance=0.0)
+    with pytest.raises(SolverError, match="did not converge in 1 iterations"):
+        solve_case_ii(A, b, cons)
 
 
 # -- equality-constrained QP ---------------------------------------------
