@@ -33,8 +33,7 @@ def _pin_threads():
 _pin_threads()  # before any numpy import below
 
 from .mesh import Mesh, MeshError, bisect, initial_mesh, uniform_refine  # noqa: E402
-from .element import (DofMap, FeFunction, QuadratureRule,  # noqa: E402
-                      interpolate, integrate)
+from .element import DofMap, QuadratureRule, integrate  # noqa: E402
 from .assembly import (ConstraintSet, assemble_constraints,  # noqa: E402
                        assemble_system, element_laplacian_rows)
 from .vi_solver import (SolverError, SpdSolver, ViSolution,  # noqa: E402
@@ -44,12 +43,12 @@ from .estimator import (ErrorReport, EstimatorBreakdown, estimate,  # noqa: E402
                         eta_edges, eta_interior, true_error)
 from .adaptive import (AdaptConfig, AdaptiveError, AdaptiveRun, RunRecord,  # noqa: E402
                        adaptive_solve, doerfler_mark, fit_slope, solve_on_mesh)
-from .problems import (ExactSolution, ProblemSpec, example, manufactured,  # noqa: E402
-                       slater_margins)
+from .problems import (ExactSolution, ProblemSpec, example,  # noqa: E402
+                       manufactured)
 
 __all__ = [
     "Mesh", "MeshError", "bisect", "initial_mesh", "uniform_refine",
-    "DofMap", "FeFunction", "QuadratureRule", "interpolate", "integrate",
+    "DofMap", "QuadratureRule", "integrate",
     "ConstraintSet", "assemble_constraints", "assemble_system",
     "element_laplacian_rows",
     "SolverError", "SpdSolver", "ViSolution",
@@ -60,6 +59,5 @@ __all__ = [
     "AdaptConfig", "AdaptiveError", "AdaptiveRun", "RunRecord",
     "adaptive_solve", "doerfler_mark", "fit_slope", "solve_on_mesh",
     "ExactSolution", "ProblemSpec", "example", "manufactured",
-    "slater_margins",
     "deterministic_mode",
 ]

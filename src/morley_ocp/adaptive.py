@@ -101,8 +101,8 @@ def doerfler_mark(indicators, theta):
     """Minimal bulk-criterion element set: sorted by indicator descending
     (ties by ascending id), the shortest prefix with sum >= theta * total."""
     indicators = np.asarray(indicators, dtype=float)
-    if np.any(indicators < 0):
-        raise ValueError("indicators must be nonnegative")
+    if not np.all(indicators >= 0):
+        raise ValueError("indicators must be nonnegative numbers")
     total = indicators.sum()
     if total <= 0.0:
         raise ValueError("all-zero indicators: nothing to mark")
@@ -115,7 +115,7 @@ def doerfler_mark(indicators, theta):
     return np.sort(order[:k + 1])
 
 
-def fit_slope(records, window, field_name="eta_h", x_field="dofs"):
+def fit_slope(records, window, field_name="eta_h"):
     """Least-squares slope of log(field) vs log(dofs) over the last
     ``window`` records."""
     if window < 2:
@@ -123,12 +123,8 @@ def fit_slope(records, window, field_name="eta_h", x_field="dofs"):
     if len(records) < window:
         raise ValueError(f"need at least {window} records, got {len(records)}")
     tail = records[-window:]
-
-    def get(r, name):
-        return r[name] if isinstance(r, dict) else getattr(r, name)
-
-    x = np.log([get(r, x_field) for r in tail])
-    y = np.log([get(r, field_name) for r in tail])
+    x = np.log([r.dofs for r in tail])
+    y = np.log([getattr(r, field_name) for r in tail])
     return float(np.polyfit(x, y, 1)[0])
 
 

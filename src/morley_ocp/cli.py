@@ -153,16 +153,12 @@ def _svg_plot(path, series, xlabel, ylabel, logy=True, guide_slope=None):
 
 def _indicator_rows(breakdown, mesh):
     import numpy as np
+    from .estimator import add_edge_shares
     nt = len(breakdown.eta1_sq_elem)
-    shares = {}
-    ids = np.flatnonzero(mesh.interior_edges)
-    for name, arr in (("eta2_sq", breakdown.eta2_sq_edge),
-                      ("eta3_sq", breakdown.eta3_sq_edge),
-                      ("eta4_sq", breakdown.eta4_sq_edge)):
-        acc = np.zeros(nt)
-        for side in (0, 1):
-            np.add.at(acc, mesh.edge_elements[ids, side], 0.5 * arr[ids])
-        shares[name] = acc
+    shares = {name: add_edge_shares(mesh, np.zeros(nt), arr)
+              for name, arr in (("eta2_sq", breakdown.eta2_sq_edge),
+                                ("eta3_sq", breakdown.eta3_sq_edge),
+                                ("eta4_sq", breakdown.eta4_sq_edge))}
     rows = []
     for t in range(nt):
         rows.append({

@@ -290,54 +290,9 @@ def _bubble_grad_laplacian(G):
                   + d20[:, None] * G[:, 1])
 
 
-@dataclass
-class FeFunction:
-    """Discrete function: global coefficients over a DofMap."""
-
-    coefficients: np.ndarray
-    dofmap: DofMap
-
-    def __post_init__(self):
-        self.coefficients = np.asarray(self.coefficients, dtype=float)
-        if self.coefficients.shape != (self.dofmap.n_dofs,):
-            raise ElementError("coefficient length does not match the DOF map")
-
-
 # ----------------------------------------------------------------------
-# interpolation and integration
+# integration
 # ----------------------------------------------------------------------
-
-def interpolate(dofmap: DofMap, value, gradient):
-    """The interpolation operator onto the discrete space.
-
-    Vertex DOFs take point values, edge DOFs the edge mean of the normal
-    derivative, bubble DOFs the element average, so element averages and
-    per-element integrals of the Laplacian of the interpolant match those
-    of the input field.  ``value(x, y)`` must vanish on the boundary for
-    constraint-set membership claims (boundary vertex DOFs are pinned).
-    """
-    mesh = dofmap.mesh
-    coeffs = np.zeros(dofmap.n_dofs)
-
-    interior = np.flatnonzero(dofmap.vertex_dof >= 0)
-    pv = mesh.vertices[interior]
-    coeffs[dofmap.vertex_dof[interior]] = value(pv[:, 0], pv[:, 1])
-
-    rule = edge_rule(13)
-    a = mesh.vertices[mesh.edges[:, 0]]
-    b = mesh.vertices[mesh.edges[:, 1]]
-    pts = a[:, None, :] + rule.points[None, :, None] * (b - a)[:, None, :]
-    g = np.asarray(gradient(pts[..., 0], pts[..., 1]))
-    gn = np.einsum("eqx,ex->eq", g, mesh.edge_normals)
-    coeffs[dofmap.edge_dof] = gn @ rule.weights
-
-    tri = triangle_rule(10)
-    X = mesh.physical_points(tri.points)
-    vals = value(X[..., 0], X[..., 1])
-    coeffs[dofmap.bubble_dof] = vals @ tri.weights
-
-    return FeFunction(coeffs, dofmap)
-
 
 def integrate(mesh: Mesh, fn, degree=10):
     """int_Omega fn(x, y) dx by an exact-degree triangle rule per element."""

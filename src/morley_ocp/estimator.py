@@ -145,6 +145,17 @@ def data_oscillation(dofmap: DofMap, problem):
     return mesh.h_elements**2 * np.sqrt(fluct_sq)
 
 
+def add_edge_shares(mesh, acc, edge_values):
+    """Add half of each interior-edge value to both of its elements.
+
+    Accumulates into ``acc`` (per element) in place and returns it.
+    """
+    ids = np.flatnonzero(mesh.interior_edges)
+    for side in (0, 1):
+        np.add.at(acc, mesh.edge_elements[ids, side], 0.5 * edge_values[ids])
+    return acc
+
+
 def estimate(dofmap: DofMap, solution, problem):
     """Assemble the full EstimatorBreakdown for a certified solution."""
     mesh = dofmap.mesh
@@ -154,12 +165,8 @@ def estimate(dofmap: DofMap, solution, problem):
     eta2_sq, eta3_sq, eta4_sq = eta_edges(dofmap, solution.coefficients,
                                           problem.beta)
 
-    indicators = eta1_sq + eta5_sq
-    edge_sum = eta2_sq + eta3_sq + eta4_sq
-    ids = np.flatnonzero(mesh.interior_edges)
-    for side in (0, 1):
-        np.add.at(indicators, mesh.edge_elements[ids, side], 0.5 * edge_sum[ids])
-
+    indicators = add_edge_shares(mesh, eta1_sq + eta5_sq,
+                                 eta2_sq + eta3_sq + eta4_sq)
     return EstimatorBreakdown(eta1_sq, eta5_sq, eta2_sq, eta3_sq, eta4_sq,
                               indicators, data_oscillation(dofmap, problem))
 

@@ -33,15 +33,15 @@ class MeshError(Exception):
 class Mesh:
     """Conforming triangulation with NVB bookkeeping.
 
-    Parameters are taken as given (no reordering); use :func:`initial_mesh`
-    or :meth:`Mesh.from_arrays` to construct one.
+    Parameters are taken as given (no reordering): elements must be
+    counter-clockwise.  :func:`initial_mesh` builds the coarse mesh and
+    :func:`bisect` every refined one.
 
     Attributes
     ----------
     vertices : (nv, 2) float array
     elements : (nt, 3) int array, counter-clockwise vertex ids
     refinement_edge : (nt,) int array, local edge index 0..2
-    generation : (nt,) int array
     edges : (ne, 2) int array, endpoint ids with the lower id first
     edge_elements : (ne, 2) int array, [plus, minus]; minus is -1 on the
         boundary
@@ -50,44 +50,21 @@ class Mesh:
     vertex_on_boundary : (nv,) bool array
     """
 
-    def __init__(self, vertices, elements, refinement_edge, generation):
+    def __init__(self, vertices, elements, refinement_edge):
         self.vertices = np.ascontiguousarray(vertices, dtype=float)
         self.elements = np.ascontiguousarray(elements, dtype=np.int64)
         self.refinement_edge = np.ascontiguousarray(refinement_edge, dtype=np.int64)
-        self.generation = np.ascontiguousarray(generation, dtype=np.int64)
         if not np.all(np.isfinite(self.vertices)):
             raise MeshError("non-finite vertex coordinates")
         if self.elements.ndim != 2 or self.elements.shape[1] != 3:
             raise MeshError("elements must be (nt, 3)")
         self._build_topology()
         for a in (self.vertices, self.elements, self.refinement_edge,
-                  self.generation, self.edges, self.edge_elements,
-                  self.edge_normals, self.elem_edges, self.vertex_on_boundary):
+                  self.edges, self.edge_elements, self.edge_normals,
+                  self.elem_edges, self.vertex_on_boundary):
             a.flags.writeable = False
 
     # -- construction ------------------------------------------------
-
-    @classmethod
-    def from_arrays(cls, vertices, elements):
-        """Build a mesh from raw arrays.
-
-        Elements with negative signed area are flipped to counter-clockwise.
-        Refinement edges are assigned to the longest edge of each element
-        (ties broken by the larger opposite-vertex id); generations start
-        at zero.
-        """
-        vertices = np.asarray(vertices, dtype=float)
-        elements = np.array(elements, dtype=np.int64)
-        p = vertices[elements]
-        sgn = _signed_area(p)
-        flip = sgn < 0
-        elements[flip] = elements[flip][:, [0, 2, 1]]
-        p = vertices[elements]
-        if np.any(_signed_area(p) <= 0):
-            raise MeshError("degenerate element (zero area)")
-        ref = _longest_edge_assignment(vertices, elements)
-        gen = np.zeros(len(elements), dtype=np.int64)
-        return cls(vertices, elements, ref, gen)
 
     def _build_topology(self):
         nt = len(self.elements)
@@ -221,43 +198,6 @@ class Mesh:
         p = self.vertices[self.elements]
         return np.einsum("qk,tkx->tqx", np.asarray(bary, dtype=float), p)
 
-    def min_angle(self):
-        """Smallest interior angle over all elements, in degrees."""
-        p = self.vertices[self.elements]
-        angles = []
-        for i in range(3):
-            a = p[:, (i + 1) % 3] - p[:, i]
-            b = p[:, (i + 2) % 3] - p[:, i]
-            na = np.hypot(a[:, 0], a[:, 1])
-            nb = np.hypot(b[:, 0], b[:, 1])
-            c = np.einsum("ij,ij->i", a, b) / (na * nb)
-            angles.append(np.degrees(np.arccos(np.clip(c, -1.0, 1.0))))
-        return float(np.min(angles))
-
-    def audit(self):
-        """Conformity audit; raises MeshError on violation.
-
-        Checks: positive orientation, interior edges shared by exactly two
-        elements whose vertex sets contain the edge, boundary consistency.
-        Returns a small report dict.
-        """
-        if np.any(_signed_area(self.vertices[self.elements]) <= 0):
-            raise MeshError("audit: non-positive element")
-        for e in range(self.n_edges):
-            plus, minus = self.edge_elements[e]
-            members = [plus] if minus < 0 else [plus, minus]
-            if self._boundary_edges[e] != (minus < 0):
-                raise MeshError("audit: boundary flag mismatch")
-            for t in members:
-                if not set(self.edges[e]) <= set(self.elements[t]):
-                    raise MeshError("audit: edge endpoints not in adjacent element")
-        return {
-            "elements": self.n_elements,
-            "edges": self.n_edges,
-            "area": float(self.areas.sum()),
-            "min_angle_deg": self.min_angle(),
-        }
-
     def export_text(self, path):
         """Write the plain-text node/element format.
 
@@ -276,24 +216,6 @@ def _signed_area(p):
     d1 = p[..., 1, :] - p[..., 0, :]
     d2 = p[..., 2, :] - p[..., 0, :]
     return d1[..., 0] * d2[..., 1] - d1[..., 1] * d2[..., 0]
-
-
-def _longest_edge_assignment(vertices, elements):
-    """Refinement edge = longest local edge, ties to the larger opposite
-    vertex id."""
-    nt = len(elements)
-    ref = np.zeros(nt, dtype=np.int64)
-    lens = np.empty((nt, 3))
-    for k in range(3):
-        a = elements[:, (k + 1) % 3]
-        b = elements[:, (k + 2) % 3]
-        d = vertices[a] - vertices[b]
-        lens[:, k] = np.hypot(d[:, 0], d[:, 1])
-    for t in range(nt):
-        m = lens[t].max()
-        cand = [k for k in range(3) if lens[t, k] >= m * (1 - 1e-12)]
-        ref[t] = max(cand, key=lambda k: elements[t, k])
-    return ref
 
 
 def initial_mesh(lower, upper, subdivisions):
@@ -333,8 +255,7 @@ def initial_mesh(lower, upper, subdivisions):
             elements += [(c00, c10, m), (c10, c11, m), (c11, c01, m), (c01, c00, m)]
     elements = np.array(elements, dtype=np.int64)
     ref = np.full(len(elements), 2, dtype=np.int64)  # cell side opposite the center
-    gen = np.zeros(len(elements), dtype=np.int64)
-    return Mesh(vertices, elements, ref, gen)
+    return Mesh(vertices, elements, ref)
 
 
 def bisect(mesh, marked):
@@ -352,7 +273,6 @@ def bisect(mesh, marked):
     verts = [tuple(v) for v in mesh.vertices]
     tris = [list(t) for t in mesh.elements]
     ref = list(mesh.refinement_edge)
-    gen = list(mesh.generation)
     alive = [True] * len(tris)
     edge2elems = {}
     for t, tri in enumerate(tris):
@@ -393,7 +313,6 @@ def bisect(mesh, marked):
         for child, rloc in (([a, m, p], 1), ([m, b, p], 0)):
             tris.append(child)
             ref.append(rloc)
-            gen.append(gen[t] + 1)
             alive.append(True)
             tid = len(tris) - 1
             for kk in range(3):
@@ -426,8 +345,7 @@ def bisect(mesh, marked):
     keep = [t for t in range(len(tris)) if alive[t]]
     new_elements = np.array([tris[t] for t in keep], dtype=np.int64)
     new_ref = np.array([ref[t] for t in keep], dtype=np.int64)
-    new_gen = np.array([gen[t] for t in keep], dtype=np.int64)
-    return Mesh(np.array(verts, dtype=float), new_elements, new_ref, new_gen)
+    return Mesh(np.array(verts, dtype=float), new_elements, new_ref)
 
 
 def _ekey(a, b):

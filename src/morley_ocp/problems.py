@@ -31,7 +31,6 @@ class ExactSolution:
     gradient: Field2                 # returns (..., 2)
     hessian: Field2                  # returns (..., 2, 2)
     control: Optional[Field2] = None
-    adjoint: Optional[Field2] = None
 
 
 @dataclass
@@ -58,7 +57,6 @@ class ProblemSpec:
     u_b: Optional[Field2] = None
     exact: Optional[ExactSolution] = None
     multipliers: dict = field(default_factory=dict)
-    notes: str = ""
 
     def __post_init__(self):
         if self.beta <= 0:
@@ -94,7 +92,11 @@ def example(k):
 
 def _example1():
     # adjoint p = sin(2 pi x) sin(2 pi y) + (3/8) sin(2 pi x) sin(4 pi y);
-    # state y = p, control u = -p, beta = 1 on the unit square
+    # state y = p, control u = -p, beta = 1 on the unit square.  Integral
+    # state and control constraints; the reference formulas satisfy the
+    # stationarity identity with mu = 0.4 at a state bound of 0, so with
+    # the bound -0.4 the reference is a near-solution rather than the
+    # exact optimum.
     c = 3.0 / 8.0
 
     def s1(x, y):
@@ -137,18 +139,16 @@ def _example1():
         delta1=0.0,
         delta2=-0.4,
         exact=ExactSolution(p, grad_p, hess_p,
-                            control=lambda x, y: -p(x, y), adjoint=p),
-        notes="integral state and control constraints; the reference "
-              "formulas satisfy the stationarity identity with mu = 0.4 at "
-              "a state bound of 0, so with the bound -0.4 the reference is "
-              "a near-solution rather than the exact optimum",
+                            control=lambda x, y: -p(x, y)),
     )
 
 
 def _example2():
     # p = sin(pi x) sin(pi y), y = 2 pi^2 p, y_d = 0, beta = 1; the control
     # constraint is active with multiplier 4/pi^2, the state constraint is
-    # slack (control-only problem).
+    # slack (control-only problem).  Purely integral control constraint:
+    # the state bound is set slack (-100, the reference state has mean 8)
+    # so the printed closed form is the exact optimum.
     def s(x, y):
         return np.sin(PI * x) * np.sin(PI * y)
 
@@ -175,18 +175,14 @@ def _example2():
         delta1=0.0,
         delta2=-100.0,
         exact=ExactSolution(yv, grad_y, hess_y,
-                            control=lambda x, y: 4 / PI**2 - s(x, y),
-                            adjoint=s),
+                            control=lambda x, y: 4 / PI**2 - s(x, y)),
         multipliers={"mu": 0.0, "lambda": 4 / PI**2},
-        notes="purely integral control constraint: the state bound is set "
-              "slack (-100, the reference state has mean 8) so the printed "
-              "closed form is the exact optimum",
     )
 
 
 def _example3():
-    # y = -sin(pi x) sin(pi y) / (2 pi^2) on (-1,1)^2; both constraints
-    # active, mu = 0.6, lambda = 0.
+    # y = -sin(pi x) sin(pi y) / (2 pi^2) on (-1,1)^2; integral state and
+    # control constraints, both active, mu = 0.6, lambda = 0.
     def s(x, y):
         return np.sin(PI * x) * np.sin(PI * y)
 
@@ -213,15 +209,14 @@ def _example3():
         delta1=0.0,
         delta2=0.0,
         exact=ExactSolution(yv, grad_y, hess_y,
-                            control=lambda x, y: -s(x, y), adjoint=s),
+                            control=lambda x, y: -s(x, y)),
         multipliers={"mu": 0.6, "lambda": 0.0},
-        notes="integral state and control constraints, both active",
     )
 
 
 def _example4():
-    # pointwise control box 0 <= u <= 30 with a small beta; no closed-form
-    # solution.
+    # integral state constraint with pointwise control bounds: the box
+    # 0 <= u <= 30 with a small beta; no closed-form solution.
     return ProblemSpec(
         name="ex4",
         domain=(0.0, 0.0, 1.0, 1.0),
@@ -234,7 +229,6 @@ def _example4():
         u_a=lambda x, y: np.zeros_like(np.asarray(x, dtype=float)),
         u_b=lambda x, y: np.full_like(np.asarray(x, dtype=float), 30.0),
         exact=None,
-        notes="integral state constraint with pointwise control bounds",
     )
 
 
@@ -334,46 +328,3 @@ def manufactured(seed, active_state=False):
                             control=lambda x, y: -laplacian(x, y)),
         multipliers={"mu": mu, "lambda": 0.0},
     )
-
-
-def slater_margins(problem, n=64):
-    """Margins of the strict/weak feasibility of a smooth candidate.
-
-    Returns (state margin, control margin) for the first candidate among
-    {exact state, exact state + positive bump} with a positive state
-    margin; used to check that the integral-case data admit a Slater point.
-    """
-    if problem.case != "integral":
-        raise ProblemError("Slater check is defined for the integral case")
-    if problem.exact is None:
-        raise ProblemError("no candidate available")
-    x0, y0, x1, y1 = problem.domain
-    gx, gw = np.polynomial.legendre.leggauss(n)
-    xs = 0.5 * (x1 - x0) * (gx + 1) + x0
-    ys = 0.5 * (y1 - y0) * (gx + 1) + y0
-    W = 0.25 * (x1 - x0) * (y1 - y0) * np.outer(gw, gw)
-    X, Y = np.meshgrid(xs, ys, indexing="ij")
-
-    def bump_value(x, y):
-        return (np.sin(PI * (x - x0) / (x1 - x0))
-                * np.sin(PI * (y - y0) / (y1 - y0)))
-
-    def bump_neg_lap(x, y):
-        return (PI**2 / (x1 - x0) ** 2 + PI**2 / (y1 - y0) ** 2) * bump_value(x, y)
-
-    f_int = 0.0
-    if problem.f is not None:
-        f_int = float((W * problem.f(X, Y)).sum())
-
-    def neg_lap_exact(x, y):
-        h = problem.exact.hessian(x, y)
-        return -(h[..., 0, 0] + h[..., 1, 1])
-
-    for scale in (0.0, 1.0, 4.0):
-        sm = float((W * (problem.exact.value(X, Y) + scale * bump_value(X, Y))).sum())
-        cm = float((W * (neg_lap_exact(X, Y) + scale * bump_neg_lap(X, Y))).sum())
-        state_margin = sm - problem.delta2
-        control_margin = cm - (problem.delta1 + f_int)
-        if state_margin > 0 and control_margin >= -1e-10:
-            return state_margin, control_margin
-    return state_margin, control_margin

@@ -50,7 +50,7 @@ SADDLE_REGULARIZATION = 1e-10
 # at most this many refinement steps after the first solve; refinement
 # stops once the relative residual meets LINEAR_TOLERANCE or a step no
 # longer halves it, and a solve whose relative residual stays above
-# RESIDUAL_LIMIT is rejected
+# RESIDUAL_LIMIT, or is NaN, is rejected
 REFINE_STEPS = 8
 LINEAR_TOLERANCE = 1e-12
 RESIDUAL_LIMIT = 1e-6
@@ -103,7 +103,7 @@ def _refine(K, solve, B):
     Refines until the relative residual meets LINEAR_TOLERANCE or stops
     falling (it no longer halves: the float64 floor of an ill-conditioned
     system), keeps the best iterate, and raises SolverError when that is
-    still above RESIDUAL_LIMIT.
+    still above RESIDUAL_LIMIT or NaN (a non-finite right-hand side).
     """
     X = solve(B)
     R = B - K @ X
@@ -120,7 +120,7 @@ def _refine(K, solve, B):
         res = min(res, res1)
         if stalled:
             break
-    if res > RESIDUAL_LIMIT:
+    if not res <= RESIDUAL_LIMIT:
         raise SolverError(f"linear solve failed (relative residual "
                           f"{res:.2e})")
     if res > 1e2 * LINEAR_TOLERANCE:

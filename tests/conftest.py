@@ -47,14 +47,13 @@ def unit_cross():
 
 @pytest.fixture
 def reference_triangle_mesh():
-    return Mesh.from_arrays(
-        np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
-        np.array([[0, 1, 2]]))
+    # refinement edge: the hypotenuse, opposite local vertex 0
+    return Mesh(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
+                np.array([[0, 1, 2]]), np.array([0]))
 
 
 @pytest.fixture
 def split_square_mesh():
-    # unit square cut by one diagonal
-    return Mesh.from_arrays(
-        np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]),
-        np.array([[0, 1, 2], [0, 2, 3]]))
+    # unit square cut by one diagonal, which is both refinement edges
+    return Mesh(np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]),
+                np.array([[0, 1, 2], [0, 2, 3]]), np.array([1, 2]))

@@ -7,9 +7,16 @@ quadrature, and two independent optimizers (accelerated projected
 gradient, exhaustive active-set enumeration).  Only mesh/DOF bookkeeping
 conventions are taken from the package, since those conventions are what
 is being verified.
+
+The last section holds tools of the method's analysis that the solver
+loop never calls: the interpolation operator I_h (it uses the package's
+quadrature rules), a Slater-point check of the problem data, the minimum
+angle of a mesh and a conformity check of a mesh of a rectangle.
 """
 
 import numpy as np
+
+from morley_ocp.element import edge_rule, triangle_rule
 
 
 # ---------------------------------------------------------------------
@@ -375,3 +382,123 @@ def exhaustive_box_solve(A, b, state_row, state_bound, rows, lower, upper,
     if best is None:
         raise AssertionError("no certified candidate in the enumeration")
     return best
+
+
+# ---------------------------------------------------------------------
+# analysis tools used only as checks
+# ---------------------------------------------------------------------
+
+def interpolate(dofmap, value, gradient):
+    """Coefficients of the interpolant I_h of a smooth field.
+
+    Vertex DOFs take point values, edge DOFs the edge mean of the normal
+    derivative, bubble DOFs the element average, so element averages and
+    per-element integrals of the Laplacian of the interpolant match those
+    of the input field.  ``value(x, y)`` must vanish on the boundary for
+    constraint-set membership claims (boundary vertex DOFs are pinned).
+    """
+    mesh = dofmap.mesh
+    coeffs = np.zeros(dofmap.n_dofs)
+
+    interior = np.flatnonzero(dofmap.vertex_dof >= 0)
+    pv = mesh.vertices[interior]
+    coeffs[dofmap.vertex_dof[interior]] = value(pv[:, 0], pv[:, 1])
+
+    rule = edge_rule(13)
+    a = mesh.vertices[mesh.edges[:, 0]]
+    b = mesh.vertices[mesh.edges[:, 1]]
+    pts = a[:, None, :] + rule.points[None, :, None] * (b - a)[:, None, :]
+    g = np.asarray(gradient(pts[..., 0], pts[..., 1]))
+    gn = np.einsum("eqx,ex->eq", g, mesh.edge_normals)
+    coeffs[dofmap.edge_dof] = gn @ rule.weights
+
+    tri = triangle_rule(10)
+    X = mesh.physical_points(tri.points)
+    vals = value(X[..., 0], X[..., 1])
+    coeffs[dofmap.bubble_dof] = vals @ tri.weights
+    return coeffs
+
+
+def slater_margins(problem, n=64):
+    """Margins of the strict/weak feasibility of a smooth candidate.
+
+    Returns (state margin, control margin) for the first candidate among
+    {exact state, exact state + positive bump} with a positive state
+    margin; used to check that the integral-case data admit a Slater point.
+    """
+    if problem.case != "integral":
+        raise ValueError("Slater check is defined for the integral case")
+    if problem.exact is None:
+        raise ValueError("no candidate available")
+    x0, y0, x1, y1 = problem.domain
+    gx, gw = np.polynomial.legendre.leggauss(n)
+    xs = 0.5 * (x1 - x0) * (gx + 1) + x0
+    ys = 0.5 * (y1 - y0) * (gx + 1) + y0
+    W = 0.25 * (x1 - x0) * (y1 - y0) * np.outer(gw, gw)
+    X, Y = np.meshgrid(xs, ys, indexing="ij")
+
+    def bump_value(x, y):
+        return (np.sin(np.pi * (x - x0) / (x1 - x0))
+                * np.sin(np.pi * (y - y0) / (y1 - y0)))
+
+    def bump_neg_lap(x, y):
+        return (np.pi**2 / (x1 - x0) ** 2
+                + np.pi**2 / (y1 - y0) ** 2) * bump_value(x, y)
+
+    f_int = 0.0
+    if problem.f is not None:
+        f_int = float((W * problem.f(X, Y)).sum())
+
+    def neg_lap_exact(x, y):
+        h = problem.exact.hessian(x, y)
+        return -(h[..., 0, 0] + h[..., 1, 1])
+
+    for scale in (0.0, 1.0, 4.0):
+        sm = float((W * (problem.exact.value(X, Y) + scale * bump_value(X, Y))).sum())
+        cm = float((W * (neg_lap_exact(X, Y) + scale * bump_neg_lap(X, Y))).sum())
+        state_margin = sm - problem.delta2
+        control_margin = cm - (problem.delta1 + f_int)
+        if state_margin > 0 and control_margin >= -1e-10:
+            return state_margin, control_margin
+    return state_margin, control_margin
+
+
+def min_angle(mesh):
+    """Smallest interior angle over all elements, in degrees."""
+    p = mesh.vertices[mesh.elements]
+    angles = []
+    for i in range(3):
+        a = p[:, (i + 1) % 3] - p[:, i]
+        b = p[:, (i + 2) % 3] - p[:, i]
+        na = np.hypot(a[:, 0], a[:, 1])
+        nb = np.hypot(b[:, 0], b[:, 1])
+        c = np.einsum("ij,ij->i", a, b) / (na * nb)
+        angles.append(np.degrees(np.arccos(np.clip(c, -1.0, 1.0))))
+    return float(np.min(angles))
+
+
+def assert_conforming(mesh, lo, hi):
+    """Assert that ``mesh`` conformingly covers the rectangle [lo, hi].
+
+    ``lo`` and ``hi`` are corners (scalars for a square).  An edge with a
+    single element must lie on one side of the rectangle (an edge that
+    stops at a hanging node does not), and the element areas must sum to
+    the rectangle's area; both to a relative 1e-12.
+    """
+    lo = np.broadcast_to(np.asarray(lo, dtype=float), (2,))
+    hi = np.broadcast_to(np.asarray(hi, dtype=float), (2,))
+    tol = 1e-12 * float(np.max(hi - lo))
+    single = mesh.edge_elements[:, 1] < 0
+    ends = mesh.vertices[mesh.edges[single]]             # (nb, 2, 2)
+    on_side = np.zeros(len(ends), dtype=bool)
+    for axis in (0, 1):
+        for bound in (lo[axis], hi[axis]):
+            on_side |= np.all(np.abs(ends[:, :, axis] - bound) <= tol, axis=1)
+    if not np.all(on_side):
+        bad = mesh.edges[single][~on_side]
+        raise AssertionError(f"{len(bad)} single-element edges off the "
+                             f"boundary, first {bad[0].tolist()}")
+    area = float(np.prod(hi - lo))
+    total = float(mesh.areas.sum())
+    if abs(total - area) > 1e-12 * area:
+        raise AssertionError(f"element areas sum to {total!r}, not {area!r}")

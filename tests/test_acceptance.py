@@ -24,14 +24,15 @@ import pytest
 
 from morley_ocp.adaptive import AdaptConfig, adaptive_solve, fit_slope
 from morley_ocp.assembly import assemble_constraints, assemble_system
-from morley_ocp.element import DofMap, interpolate
+from morley_ocp.element import DofMap
 from morley_ocp.estimator import eta_edges, eta_interior
 from morley_ocp.mesh import bisect, initial_mesh
 from morley_ocp.problems import ProblemSpec, example, manufactured
 from morley_ocp.vi_solver import solve_vi
 
 from conftest import child_env, random_mesh
-from oracles import (assemble_dense, estimator_terms, exhaustive_box_solve,
+from oracles import (assemble_dense, assert_conforming, estimator_terms,
+                     exhaustive_box_solve, interpolate, min_angle,
                      projected_gradient)
 
 
@@ -257,7 +258,7 @@ def test_criterion_6_interpolation_identities():
     worst_int = worst_lap = 0.0
     for _, f, g, lap in SMOOTH:
         u = interpolate(dm, f, g)
-        lhs = float(mesh.areas @ u.coefficients[dm.bubble_dof])
+        lhs = float(mesh.areas @ u[dm.bubble_dof])
         ref = 0.0
         lap_ref = np.empty(mesh.n_elements)
         for t in range(mesh.n_elements):
@@ -266,7 +267,7 @@ def test_criterion_6_interpolation_identities():
             lap_ref[t] = float(w @ lap(pts[:, 0], pts[:, 1]))
         worst_int = max(worst_int, abs(lhs - ref))
         worst_lap = max(worst_lap,
-                        float(np.abs(np.asarray(rows @ u.coefficients)
+                        float(np.abs(np.asarray(rows @ u)
                                      + lap_ref).max()))
     ok = worst_int <= 1e-10 and worst_lap <= 1e-10
     report("6 (identities)", ok,
@@ -285,8 +286,8 @@ def test_criterion_6_interpolation_identities():
     worst_state = worst_ctrl = -np.inf
     for _, f, g, lap in feasible:
         u = interpolate(dm, f, g)
-        sviol = cons.state_bound - cons.state_row @ u.coefficients
-        cviol = cons.control_bound - cons.control_row @ u.coefficients
+        sviol = cons.state_bound - cons.state_row @ u
+        cviol = cons.control_bound - cons.control_row @ u
         # continuous membership margins, by quadrature
         mass = lapint = 0.0
         for t in range(mesh.n_elements):
@@ -307,17 +308,16 @@ def test_criterion_6_interpolation_identities():
 def test_criterion_7_mesh_stress():
     rng = np.random.default_rng(2024)
     mesh = initial_mesh(0.0, 1.0, 2)
-    min_angle = 90.0
+    worst_angle = 90.0
     for it in range(200):
         marked = rng.choice(mesh.n_elements,
                             size=min(2, mesh.n_elements), replace=False)
         mesh = bisect(mesh, marked)
-        rep = mesh.audit()
-        assert abs(rep["area"] - 1.0) < 1e-12
-        min_angle = min(min_angle, rep["min_angle_deg"])
-        assert min_angle >= 10.0
+        assert_conforming(mesh, 0.0, 1.0)
+        worst_angle = min(worst_angle, min_angle(mesh))
+        assert worst_angle >= 10.0
     report(7, True, f"200 NVB iterations: conforming throughout, area "
-                    f"conserved to 1e-12, min angle {min_angle:.1f} >= 10 deg "
+                    f"conserved to 1e-12, min angle {worst_angle:.1f} >= 10 deg "
                     f"({mesh.n_elements} elements at the end)")
 
 

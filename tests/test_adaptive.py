@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,8 @@ from morley_ocp.adaptive import (AdaptConfig, AdaptiveError, RunRecord,
                                  adaptive_solve, doerfler_mark, fit_slope)
 from morley_ocp.problems import example, manufactured
 from morley_ocp.vi_solver import SolverError
+
+from oracles import assert_conforming
 
 
 def _rec(i, dofs, eta):
@@ -59,6 +63,8 @@ def test_doerfler_rejects_bad_input():
         doerfler_mark([1.0], 1.5)
     with pytest.raises(ValueError):
         doerfler_mark([-1.0, 2.0], 0.3)
+    with pytest.raises(ValueError):
+        doerfler_mark([1.0, np.nan, 2.0, 0.5], 0.3)
 
 
 # -- slope fitting -----------------------------------------------------------
@@ -100,7 +106,7 @@ def test_dofs_increase_and_meshes_conform():
     dofs = [r.dofs for r in run.records]
     assert all(b > a for a, b in zip(dofs, dofs[1:]))
     assert dofs[-1] > 800
-    run.mesh.audit()
+    assert_conforming(run.mesh, 0.0, 1.0)
     assert all(r.kkt_stationarity <= 1e-8 for r in run.records)
 
 
@@ -179,3 +185,15 @@ def test_solver_failure_names_the_iteration(monkeypatch, capsys, tmp_path):
                     "1", "--out", str(tmp_path / "run")])
     assert code == 3
     assert "solver failure: iteration 1" in capsys.readouterr().err
+
+
+def test_nan_data_fail_the_first_iteration():
+    # NaN data must not end as a normal study with eta_h = nan and a stop
+    # on "all element indicators are zero"
+    prob = example(4)
+    y_d = prob.y_d
+    prob = dataclasses.replace(
+        prob, y_d=lambda x, y: np.where(x > 0.7, np.nan, y_d(x, y)))
+    with pytest.raises(AdaptiveError) as info:
+        adaptive_solve(prob, AdaptConfig(max_dofs=2000))
+    assert info.value.iteration == 0

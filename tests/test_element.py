@@ -2,18 +2,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from morley_ocp.element import (DofMap, ElementError, FeFunction, edge_rule,
-                                integrate, interpolate, triangle_rule,
-                                bary_monomial_integral)
+from morley_ocp.element import (DofMap, ElementError, edge_rule, integrate,
+                                triangle_rule, bary_monomial_integral)
 from morley_ocp.mesh import initial_mesh, uniform_refine
 
-from oracles import tri_quad
+from oracles import interpolate, tri_quad
 
 
-def evaluate(f, element, bary):
-    """(value, gradient, hessian) of ``f`` at one barycentric point."""
-    val, grad, hess = f.dofmap.eval_function(
-        f.coefficients, np.reshape(bary, (1, 1, 3)), np.array([element]))
+def evaluate(dm, u, element, bary):
+    """(value, gradient, hessian) of coefficients ``u`` at one barycentric
+    point."""
+    val, grad, hess = dm.eval_function(
+        u, np.reshape(bary, (1, 1, 3)), np.array([element]))
     return float(val[0, 0]), grad[0, 0], hess[0, 0]
 
 
@@ -96,17 +96,16 @@ def test_hessian_matches_fd_of_gradient():
     dm = DofMap(mesh)
     rng = np.random.default_rng(5)
     u = rng.standard_normal(dm.n_dofs)
-    f = FeFunction(u, dm)
     t = 3
     lam0 = np.array([0.3, 0.4, 0.3])
     x0 = lam0 @ mesh.vertices[mesh.elements[t]]
     h = 1e-6
-    _, _, H = evaluate(f, t, lam0)
+    _, _, H = evaluate(dm, u, t, lam0)
     for d, e in ((0, np.array([h, 0.0])), (1, np.array([0.0, h]))):
         bp = mesh.barycentric(np.array([t]), (x0 + e)[None, :])[0]
         bm = mesh.barycentric(np.array([t]), (x0 - e)[None, :])[0]
-        _, gp, _ = evaluate(f, t, bp)
-        _, gm, _ = evaluate(f, t, bm)
+        _, gp, _ = evaluate(dm, u, t, bp)
+        _, gm, _ = evaluate(dm, u, t, bm)
         fd = (gp - gm) / (2 * h)
         assert np.allclose(H[:, d], fd, rtol=1e-6, atol=1e-6 * np.abs(H).max())
 
@@ -156,7 +155,7 @@ def test_interpolate_reproduces_quadratic(unit_cross):
     for t in range(unit_cross.n_elements):
         lam = rng.dirichlet([1, 1, 1], size=4)
         xy = lam @ unit_cross.vertices[unit_cross.elements[t]]
-        vals, _, _ = dm.eval_function(u.coefficients, lam[None].repeat(1, 0)[0][None, :, :], np.array([t]))
+        vals, _, _ = dm.eval_function(u, lam[None].repeat(1, 0)[0][None, :, :], np.array([t]))
         assert np.allclose(vals[0], q(xy[:, 0], xy[:, 1]), atol=1e-12)
 
 
@@ -168,7 +167,7 @@ def test_interpolation_conservation_identities(case):
     dm = DofMap(mesh)
     u = interpolate(dm, f, g)
     # interpolant integral is exactly |T| . Q_T
-    lhs = float(mesh.areas @ u.coefficients[dm.bubble_dof])
+    lhs = float(mesh.areas @ u[dm.bubble_dof])
     rhs = sum(float(tri_quad(*mesh.vertices[mesh.elements[t]], 8)[1]
                     @ f(*tri_quad(*mesh.vertices[mesh.elements[t]], 8)[0].T))
               for t in range(mesh.n_elements))
@@ -176,7 +175,7 @@ def test_interpolation_conservation_identities(case):
 
     from morley_ocp.assembly import element_laplacian_rows
     rows = element_laplacian_rows(dm)
-    neg_lap_int = np.asarray(rows @ u.coefficients)
+    neg_lap_int = np.asarray(rows @ u)
     for t in range(mesh.n_elements):
         pts, w = tri_quad(*mesh.vertices[mesh.elements[t]], 8)
         ref = -float(w @ lap(pts[:, 0], pts[:, 1]))
@@ -207,18 +206,17 @@ def test_nonconformity_is_real():
 
 def test_evaluate_zero_and_continuity(unit_cross):
     dm = DofMap(unit_cross)
-    z = FeFunction(np.zeros(dm.n_dofs), dm)
-    v, g, H = evaluate(z, 0, (1/3, 1/3, 1/3))
+    v, g, H = evaluate(dm, np.zeros(dm.n_dofs), 0, (1/3, 1/3, 1/3))
     assert v == 0 and np.all(g == 0) and np.all(H == 0)
 
     rng = np.random.default_rng(4)
-    u = FeFunction(rng.standard_normal(dm.n_dofs), dm)
+    u = rng.standard_normal(dm.n_dofs)
     # vertex shared by all four elements: the center
     center = 4
     for t in range(unit_cross.n_elements):
         loc = np.flatnonzero(unit_cross.elements[t] == center)[0]
         lam = np.eye(3)[loc]
-        v_t, _, _ = evaluate(u, t, lam)
+        v_t, _, _ = evaluate(dm, u, t, lam)
         if t == 0:
             ref = v_t
         assert v_t == pytest.approx(ref, abs=1e-12)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from morley_ocp.assembly import assemble_constraints, assemble_system
-from morley_ocp.element import DofMap, interpolate
+from morley_ocp.element import DofMap
 from morley_ocp.estimator import (data_oscillation, estimate, eta_edges,
                                   eta_interior, true_error)
 from morley_ocp.mesh import Mesh, initial_mesh, uniform_refine
@@ -10,7 +10,7 @@ from morley_ocp.problems import ExactSolution, ProblemSpec, example, manufacture
 from morley_ocp.vi_solver import solve_vi
 
 from conftest import random_mesh
-from oracles import estimator_terms
+from oracles import estimator_terms, interpolate
 
 
 def poly_problem(beta=1.0):
@@ -78,9 +78,9 @@ def test_interpolated_quadratic_edge_terms_match_oracle(unit_cross):
                         axis=-1))
     prob = poly_problem()
     lam = np.zeros(unit_cross.n_elements)
-    o1, o2, o3, o4, o5 = estimator_terms(unit_cross, dm, u.coefficients,
+    o1, o2, o3, o4, o5 = estimator_terms(unit_cross, dm, u,
                                          0.0, lam, prob)
-    e2, e3, e4 = eta_edges(dm, u.coefficients, prob.beta)
+    e2, e3, e4 = eta_edges(dm, u, prob.beta)
     assert e2.sum() == pytest.approx(o2, rel=1e-12, abs=1e-13)
     assert e3.sum() == pytest.approx(o3, rel=1e-12, abs=1e-13)
     assert e4.sum() == pytest.approx(o4, rel=1e-12, abs=1e-13)
@@ -178,7 +178,7 @@ def test_relabeling_invariance():
     verts2 = np.empty_like(mesh.vertices)
     verts2[vperm] = mesh.vertices
     tris2 = vperm[mesh.elements][eperm]
-    mesh2 = Mesh.from_arrays(verts2, tris2)
+    mesh2 = Mesh(verts2, tris2, mesh.refinement_edge[eperm])
     dm2 = DofMap(mesh2)
 
     # map coefficients: vertices by id, edges by endpoint set (sign flips
@@ -239,7 +239,7 @@ def test_true_error_reproduction(unit_cross):
             np.array([[-2.0, 0.0], [0.0, 0.0]]),
             np.shape(np.asarray(x)) + (2, 2)))
     u = interpolate(dm, q.value, q.gradient)
-    rep = true_error(dm, u.coefficients, q, beta=1.0, eta_h=1.0)
+    rep = true_error(dm, u, q, beta=1.0, eta_h=1.0)
     assert rep.energy_error <= 1e-10
     assert rep.l2_error <= 1e-11
 

@@ -4,6 +4,8 @@ from hypothesis import given, settings, strategies as st
 
 from morley_ocp.mesh import Mesh, MeshError, bisect, initial_mesh, uniform_refine
 
+from oracles import assert_conforming, min_angle
+
 
 def test_unit_cross_counts(unit_cross):
     assert unit_cross.n_elements == 4
@@ -18,7 +20,7 @@ def test_area_conservation_initial():
 
 def test_min_angle_criss_cross():
     m = initial_mesh(0.0, 1.0, 4)
-    assert m.min_angle() == pytest.approx(45.0, abs=1e-9)
+    assert min_angle(m) == pytest.approx(45.0, abs=1e-9)
 
 
 def test_degenerate_domain_rejected():
@@ -36,22 +38,21 @@ def test_bisect_one_element_conforming(unit_cross):
     # the marked element's refinement edge is a boundary cell side, so a
     # single compatible split suffices: 4 -> 5 elements, still conforming
     out = bisect(unit_cross, [0])
-    report = out.audit()
-    assert out.n_elements > unit_cross.n_elements
-    assert report["area"] == pytest.approx(1.0, rel=1e-14)
-    # the refined region is covered by strictly newer elements
-    assert out.generation.max() == 1
-    assert np.count_nonzero(out.generation == 1) == 2
+    assert_conforming(out, 0.0, 1.0)
+    assert out.n_elements == unit_cross.n_elements + 1
+    # the marked element is replaced by its two halves
+    assert sorted(out.areas) == pytest.approx([0.125, 0.125, 0.25, 0.25, 0.25],
+                                              rel=1e-14)
 
 
 def test_uniform_refinement_preserves_min_angle(unit_cross):
     # right isoceles triangles bisected at the hypotenuse stay similar
     m = unit_cross
-    base = m.min_angle()
+    base = min_angle(m)
     for _ in range(5):
         m = bisect(m, range(m.n_elements))
-        m.audit()
-        assert m.min_angle() >= base - 1e-9
+        assert_conforming(m, 0.0, 1.0)
+        assert min_angle(m) >= base - 1e-9
         assert m.areas.sum() == pytest.approx(1.0, rel=1e-12)
     assert m.n_elements == 4 * 2**5
 
@@ -60,9 +61,12 @@ def test_marked_generation_increases(unit_cross):
     m = uniform_refine(unit_cross, 1)
     marked = [0, 3]
     out = bisect(m, marked)
-    # marked parents disappear; their area is covered by higher generations
+    # marked parents disappear; their area is covered by higher generations,
+    # and each generation halves the area
     assert out.n_elements > m.n_elements
-    assert out.generation.max() >= m.generation[marked].max() + 1
+    parents = {frozenset(m.elements[t]) for t in marked}
+    assert not parents & {frozenset(t) for t in out.elements}
+    assert out.areas.min() <= 0.5 * m.areas[marked].min() * (1 + 1e-12)
 
 
 def test_refinement_edge_is_longest_edge():
@@ -108,10 +112,11 @@ def test_normal_flips_with_endpoint_order():
     # with it the stored normal
     verts = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
     tris = np.array([[0, 1, 2], [0, 2, 3]])
-    m1 = Mesh.from_arrays(verts, tris)
+    ref = np.array([1, 2])         # the diagonal, in both elements
+    m1 = Mesh(verts, tris, ref)
     perm = np.array([3, 2, 1, 0])  # new id of old vertex i
     inv = np.argsort(perm)
-    m2 = Mesh.from_arrays(verts[inv], perm[tris])
+    m2 = Mesh(verts[inv], perm[tris], ref)
     # the shared diagonal is 0-2 in both meshes but with swapped endpoints
     def diag_normal(m):
         for e in range(m.n_edges):
@@ -124,7 +129,7 @@ def test_normal_flips_with_endpoint_order():
 def test_closure_produces_conforming_mesh(unit_cross):
     m = uniform_refine(unit_cross, 2)
     out = bisect(m, [0])
-    out.audit()
+    assert_conforming(out, 0.0, 1.0)
     for e in range(out.n_edges):
         plus, minus = out.edge_elements[e]
         assert (minus < 0) == out.boundary_edges[e]
@@ -178,6 +183,23 @@ def test_random_refinement_stays_conforming(marks):
     m = initial_mesh(0.0, 1.0, 1)
     for mark in marks:
         m = bisect(m, [mark % m.n_elements])
-    report = m.audit()
-    assert report["area"] == pytest.approx(1.0, rel=1e-12)
-    assert report["min_angle_deg"] >= 45.0 - 1e-9
+    assert_conforming(m, 0.0, 1.0)
+    assert min_angle(m) >= 45.0 - 1e-9
+
+
+def test_hanging_node_is_not_conforming():
+    # the diagonal 0-2 meets the edges 0-4 and 4-2 of the other two
+    # elements only at the hanging node 4: the areas cover the square, but
+    # three single-element edges lie inside it
+    m = Mesh(np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0],
+                       [0.5, 0.5]]),
+             np.array([[0, 1, 2], [0, 4, 3], [4, 2, 3]]),
+             np.array([1, 1, 0]))
+    assert m.areas.sum() == pytest.approx(1.0, rel=1e-14)
+    with pytest.raises(AssertionError, match="off the boundary"):
+        assert_conforming(m, 0.0, 1.0)
+    # one triangle stacked on itself: every edge has two elements
+    twice = Mesh(m.vertices, np.array([[0, 1, 4], [0, 1, 4]]),
+                 np.array([2, 2]))
+    with pytest.raises(AssertionError, match="areas sum"):
+        assert_conforming(twice, 0.0, 1.0)

@@ -5,9 +5,10 @@ from morley_ocp.assembly import assemble_constraints, assemble_system
 from morley_ocp.element import DofMap
 from morley_ocp.estimator import broken_norms
 from morley_ocp.mesh import initial_mesh, uniform_refine
-from morley_ocp.problems import (ProblemError, ProblemSpec, example,
-                                 manufactured, slater_margins)
+from morley_ocp.problems import ProblemError, ProblemSpec, example, manufactured
 from morley_ocp.vi_solver import solve_vi
+
+from oracles import slater_margins
 
 
 def _sample_points(problem, n, seed=0):

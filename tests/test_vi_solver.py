@@ -50,6 +50,12 @@ def test_singular_factorization_raises():
         SpdSolver(sp.csr_matrix(np.diag([1.0, 0.0])))
 
 
+def test_nan_rhs_raises():
+    # a NaN residual compares false against every limit; it must not pass
+    with pytest.raises(SolverError, match="linear solve failed"):
+        SpdSolver(sp.csr_matrix(np.diag([1.0, 2.0]))).solve([np.nan, 1.0])
+
+
 def test_pdas_iteration_cap_raises(monkeypatch):
     monkeypatch.setattr(vi_solver, "PDAS_MAX_ITERATIONS", 1)
     prob = example(4)
