@@ -82,7 +82,7 @@ def _element_matrices(dofmap: DofMap, beta, sl):
 
     from .element import _PRIM_MASS
     local = beta * PG + _PRIM_MASS[None, :, :]
-    K = np.einsum("tai,tab,tbj->tij", C, local, C)
+    K = np.swapaxes(C, 1, 2) @ local @ C
     K *= area[:, None, None]
     return 0.5 * (K + np.swapaxes(K, 1, 2))
 
@@ -109,22 +109,20 @@ def assemble_system(dofmap: DofMap, problem):
         cols.append(jj[keep])
         vals.append(K[keep])
 
-        # load: int y_d phi - beta int f Delta(phi)
-        C = dofmap.C[sl]
-        G = mesh.grad_lambda[sl]
-        area = mesh.areas[sl]
-        X = np.einsum("qk,tkx->tqx", rule.points, mesh.vertices[mesh.elements[sl]])
+        # load: int y_d phi - beta int f Delta(phi), integrated against the
+        # primitives first and mapped to the nodal basis by C once
+        X = rule.points @ mesh.vertices[mesh.elements[sl]]
         yd = np.asarray(problem.y_d(X[..., 0], X[..., 1]), dtype=float)
-        phi = np.einsum("tai,qa->tqi", C, P)
-        bT = np.einsum("tq,tqi,q->ti", yd, phi, rule.weights)
+        load = (yd * rule.weights) @ P
         if problem.f is not None:
             fv = np.asarray(problem.f(X[..., 0], X[..., 1]), dtype=float)
             if np.any(fv):
-                lap = _basis_laplacians(C, G, rule.points)
-                bT -= beta * np.einsum("tq,tqi,q->ti", fv, lap, rule.weights)
-        bT *= area[:, None]
+                load -= beta * _laplacian_moments(mesh.grad_lambda[sl],
+                                                  fv * rule.weights, rule.points)
+        bT = np.einsum("tai,ta->ti", dofmap.C[sl], load)
+        bT *= mesh.areas[sl, None]
         keep1 = cd >= 0
-        np.add.at(b, cd[keep1], bT[keep1])
+        b += np.bincount(cd[keep1], weights=bT[keep1], minlength=n)
 
     A = sp.coo_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
@@ -135,19 +133,19 @@ def assemble_system(dofmap: DofMap, problem):
     return A.copy(), b
 
 
-def _basis_laplacians(C, G, bary):
-    """Laplacians of the nodal basis at barycentric points: (t, q, 7)."""
+def _laplacian_moments(G, fw, bary):
+    """(t, 7) weighted sums ``sum_q fw[t, q] * Delta(prim_a)(bary[q])``."""
     M = np.einsum("tix,tjx->tij", G, G)
-    lap_prim = np.empty((len(C), len(bary), N_LOCAL))
-    # trace of the primitive Hessians: 2 M_ii for squares, 2 M_ij for mixed
-    const = np.stack([2 * M[:, 0, 0], 2 * M[:, 1, 1], 2 * M[:, 2, 2],
-                      2 * M[:, 0, 1], 2 * M[:, 1, 2], 2 * M[:, 0, 2]], axis=1)
-    lap_prim[:, :, :6] = const[:, None, :]
-    lam = np.asarray(bary)
-    lap_prim[:, :, 6] = 2.0 * (np.multiply.outer(M[:, 0, 1], lam[:, 2])
-                               + np.multiply.outer(M[:, 1, 2], lam[:, 0])
-                               + np.multiply.outer(M[:, 0, 2], lam[:, 1]))
-    return np.einsum("tai,tqa->tqi", C, lap_prim)
+    out = np.empty((len(G), N_LOCAL))
+    # trace of the primitive Hessians: 2 M_ii for squares, 2 M_ij for mixed;
+    # the bubble's is linear in the barycentrics
+    const = np.stack([M[:, 0, 0], M[:, 1, 1], M[:, 2, 2],
+                      M[:, 0, 1], M[:, 1, 2], M[:, 0, 2]], axis=1)
+    out[:, :6] = 2.0 * const * fw.sum(axis=1)[:, None]
+    lam = fw @ bary
+    out[:, 6] = 2.0 * (M[:, 0, 1] * lam[:, 2] + M[:, 1, 2] * lam[:, 0]
+                       + M[:, 0, 2] * lam[:, 1])
+    return out
 
 
 def element_laplacian_rows(dofmap: DofMap):
@@ -179,6 +177,8 @@ def assemble_constraints(dofmap: DofMap, problem):
         f_int = 0.0
         if problem.f is not None:
             f_int = integrate(mesh, problem.f, degree=10)
+            if not np.isfinite(f_int):
+                raise AssemblyError(f"source integral is not finite: {f_int}")
         return ConstraintSet("integral", state_row, problem.delta2,
                              control_row, problem.delta1 + f_int,
                              None, None, None)
@@ -192,7 +192,9 @@ def assemble_constraints(dofmap: DofMap, problem):
         ub = np.broadcast_to(ub, X.shape[:2])
         lower = mesh.areas * (ua @ rule.weights)
         upper = mesh.areas * (ub @ rule.weights)
-        if np.any(lower >= upper):
+        if not (np.all(np.isfinite(lower)) and np.all(np.isfinite(upper))):
+            raise AssemblyError("element with a non-finite Q_T(u_a) or Q_T(u_b)")
+        if not np.all(lower < upper):
             raise AssemblyError("element with Q_T(u_a) >= Q_T(u_b)")
         return ConstraintSet("box", state_row, problem.delta3,
                              None, None, rows, lower, upper,

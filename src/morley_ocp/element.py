@@ -73,10 +73,12 @@ def edge_rule(exact_degree):
 
 @lru_cache(maxsize=None)
 def triangle_rule(exact_degree):
-    """Symmetric positive triangle rule, exact to ``exact_degree`` <= 10.
+    """Positive triangle rule, exact to ``exact_degree`` <= 10.
 
-    Built from a Duffy (collapsed tensor Gauss) rule and symmetrized over
-    the six vertex permutations; weights stay positive and sum to one.
+    The collapsed (Duffy) tensor Gauss rule with ``m = (degree + 3) // 2``
+    points per direction: 16, 25 and 36 points for degrees 6, 8 and 10.
+    It is not symmetric under vertex permutations; weights stay positive
+    and sum to one.
     """
     if exact_degree > 10:
         raise ElementError(f"unsupported triangle quadrature degree {exact_degree}")
@@ -85,14 +87,10 @@ def triangle_rule(exact_degree):
     u = 0.5 * (x + 1.0)
     wu = 0.5 * w
     uu, vv = np.meshgrid(u, u, indexing="ij")
-    ww = np.outer(wu * (1.0 - u), wu).ravel()
     xi = uu.ravel()
     eta = (vv * (1.0 - uu)).ravel()
-    lam = np.stack([1.0 - xi - eta, xi, eta], axis=1)
-    # symmetrize: average the rule over all vertex permutations
-    perms = [(0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)]
-    pts = np.concatenate([lam[:, p] for p in perms])
-    wts = np.concatenate([ww] * 6) / 3.0  # ww sums to 1/2 (reference area)
+    pts = np.stack([1.0 - xi - eta, xi, eta], axis=1)
+    wts = 2.0 * np.outer(wu * (1.0 - u), wu).ravel()  # reference area 1/2
     return QuadratureRule(pts, wts)
 
 
@@ -260,16 +258,17 @@ class DofMap:
         G = mesh.grad_lambda if elems is None else mesh.grad_lambda[elems]
         bary = np.asarray(bary, dtype=float)
         P, dP, d2P = prim_values(bary), prim_dlam(bary), prim_d2lam(bary)
+        # contract the coefficients first, on the barycentric derivatives;
+        # only the small results meet the element gradients G
         if elems is None:
-            val = np.einsum("ti,qi->tq", a, P)
-            grad = np.einsum("ti,qik,tkx->tqx", a, dP, G, optimize=True)
-            hess = np.einsum("ti,qikl,tkx,tly->tqxy", a, d2P, G, G,
-                             optimize=True)
+            val, gl, hl = (np.tensordot(a, X, axes=(1, 1)) for X in (P, dP, d2P))
         else:
             val = np.einsum("mi,mqi->mq", a, P)
-            grad = np.einsum("mi,mqik,mkx->mqx", a, dP, G, optimize=True)
-            hess = np.einsum("mi,mqikl,mkx,mly->mqxy", a, d2P, G, G,
-                             optimize=True)
+            gl = np.einsum("mi,mqik->mqk", a, dP)
+            hl = np.einsum("mi,mqikl->mqkl", a, d2P)
+        grad = gl @ G
+        Gq = G[:, None]
+        hess = np.swapaxes(Gq, 2, 3) @ hl @ Gq
         return val, grad, hess
 
     def grad_laplacian(self, u, elems=None):

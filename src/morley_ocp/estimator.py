@@ -78,7 +78,7 @@ def eta_interior(dofmap: DofMap, y, mu, lam_elem, problem):
     X = mesh.physical_points(rule.points)
     P = prim_values(rule.points)
     a = dofmap.prim_coefficients(y)
-    yh = np.einsum("ti,qi->tq", a, P)
+    yh = a @ P.T
     resid = problem.y_d(X[..., 0], X[..., 1]) + mu - yh
     if problem.f_laplacian is not None:
         resid = resid - beta * problem.f_laplacian(X[..., 0], X[..., 1])
@@ -151,8 +151,9 @@ def add_edge_shares(mesh, acc, edge_values):
     Accumulates into ``acc`` (per element) in place and returns it.
     """
     ids = np.flatnonzero(mesh.interior_edges)
-    for side in (0, 1):
-        np.add.at(acc, mesh.edge_elements[ids, side], 0.5 * edge_values[ids])
+    acc += np.bincount(mesh.edge_elements[ids].ravel(),
+                       weights=np.repeat(0.5 * edge_values[ids], 2),
+                       minlength=len(acc))
     return acc
 
 

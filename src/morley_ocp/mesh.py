@@ -196,7 +196,7 @@ class Mesh:
         ``bary`` is (nq, 3); the result is (nt, nq, 2).
         """
         p = self.vertices[self.elements]
-        return np.einsum("qk,tkx->tqx", np.asarray(bary, dtype=float), p)
+        return np.matmul(np.asarray(bary, dtype=float), p)
 
     def export_text(self, path):
         """Write the plain-text node/element format.

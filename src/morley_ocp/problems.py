@@ -73,6 +73,10 @@ class ProblemSpec:
                 raise ProblemError("box case must not carry integral bounds")
         else:
             raise ProblemError(f"unknown case {self.case!r}")
+        for name in ("delta1", "delta2", "delta3"):
+            value = getattr(self, name)
+            if value is not None and not np.isfinite(value):
+                raise ProblemError(f"{name} must be finite, got {value!r}")
 
     @property
     def square(self):

@@ -375,16 +375,18 @@ def kkt_residual(A, b, constraints, solution):
     r = A @ x - b - solution.mu * s
     sval = float(s @ x)
     scale_s = max(1.0, abs(ds))
-    feas = max(0.0, (ds - sval) / scale_s)
-    comp = abs(solution.mu * (ds - sval)) / scale_s
+    # collected and reduced with np.max, which keeps a NaN term (Python's
+    # max(0.0, nan) is 0.0)
+    feas = [(ds - sval) / scale_s]
+    comp = [abs(solution.mu * (ds - sval)) / scale_s]
 
     if constraints.case == "integral":
         c, dc = constraints.control_row, constraints.control_bound
         r = r - solution.lam * c
         cval = float(c @ x)
         scale_c = max(1.0, abs(dc))
-        feas = max(feas, (dc - cval) / scale_c)
-        comp = max(comp, abs(solution.lam * (dc - cval)) / scale_c)
+        feas.append((dc - cval) / scale_c)
+        comp.append(abs(solution.lam * (dc - cval)) / scale_c)
     else:
         rows, lower, upper = (constraints.element_rows, constraints.lower,
                               constraints.upper)
@@ -392,12 +394,12 @@ def kkt_residual(A, b, constraints, solution):
         r = r - rows.T @ lam
         vals = np.asarray(rows @ x)
         scale = np.maximum(1.0, np.maximum(np.abs(lower), np.abs(upper)))
-        feas = max(feas,
-                   float(np.max(np.maximum(lower - vals, vals - upper) / scale,
-                                initial=0.0)))
+        feas.append(np.max(np.maximum(lower - vals, vals - upper) / scale,
+                           initial=0.0))
         comp_el = np.where(lam > 0, lam * (vals - lower),
                            np.where(lam < 0, lam * (vals - upper), 0.0))
-        comp = max(comp, float(np.max(np.abs(comp_el) / scale, initial=0.0)))
+        comp.append(np.max(np.abs(comp_el) / scale, initial=0.0))
 
     stationarity = float(np.max(np.abs(r))) / _load_scale(b)
-    return stationarity, max(0.0, feas), comp
+    return (stationarity, float(np.max(feas, initial=0.0)),
+            float(np.max(comp)))

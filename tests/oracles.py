@@ -6,7 +6,9 @@ the local dual systems, dense assembly, estimator terms by direct
 quadrature, and two independent optimizers (accelerated projected
 gradient, exhaustive active-set enumeration).  Only mesh/DOF bookkeeping
 conventions are taken from the package, since those conventions are what
-is being verified.
+is being verified.  The one exception, ``eval_function_einsum``, reuses the
+package's primitive basis: it checks only the contraction order of
+``DofMap.eval_function``.
 
 The last section holds tools of the method's analysis that the solver
 loop never calls: the interpolation operator I_h (it uses the package's
@@ -16,7 +18,8 @@ angle of a mesh and a conformity check of a mesh of a rectangle.
 
 import numpy as np
 
-from morley_ocp.element import edge_rule, triangle_rule
+from morley_ocp.element import (edge_rule, prim_d2lam, prim_dlam, prim_values,
+                                triangle_rule)
 
 
 # ---------------------------------------------------------------------
@@ -156,6 +159,22 @@ class OracleElement:
 def local_coeffs(dofmap, u, t):
     cd = dofmap.cell_dofs[t]
     return np.array([0.0 if d < 0 else u[d] for d in cd])
+
+
+def eval_function_einsum(dofmap, u, bary, elems=None):
+    """Reference for ``DofMap.eval_function``: the same (value, gradient,
+    hessian), each written as one einsum over coefficients, primitive
+    derivatives and element gradients together (the package's basis
+    conventions, a different contraction order)."""
+    a = dofmap.prim_coefficients(u, elems)
+    G = dofmap.mesh.grad_lambda if elems is None else dofmap.mesh.grad_lambda[elems]
+    bary = np.asarray(bary, dtype=float)
+    P, dP, d2P = prim_values(bary), prim_dlam(bary), prim_d2lam(bary)
+    q = "q" if elems is None else "tq"
+    val = np.einsum(f"ti,{q}i->tq", a, P)
+    grad = np.einsum(f"ti,{q}ik,tkx->tqx", a, dP, G, optimize=True)
+    hess = np.einsum(f"ti,{q}ikl,tkx,tly->tqxy", a, d2P, G, G, optimize=True)
+    return val, grad, hess
 
 
 def assemble_dense(mesh, dofmap, beta, nquad=8):

@@ -44,6 +44,29 @@ def test_matrix_matches_dense_oracle(seed):
     assert np.abs(dense - oracle).max() < 1e-12 * scale
 
 
+@pytest.mark.parametrize("seed", [0, 1])
+def test_load_matches_oracle(seed):
+    # polynomial y_d (degree 3) and f (degree 2): the degree-6 rule is exact
+    from oracles import OracleElement
+
+    mesh = random_mesh(seed, max_elements=12)
+    dm = DofMap(mesh)
+    prob = poly_problem(beta=0.7)
+    _, b = assemble_system(dm, prob)
+    ref = np.zeros(dm.n_dofs)
+    for t in range(mesh.n_elements):
+        el = OracleElement(mesh, t)
+        pts, w = tri_quad(*el.p, 8)
+        for i, d in enumerate(dm.cell_dofs[t]):
+            if d < 0:
+                continue
+            for q, wq in zip(pts, w):
+                lap = np.trace(el.shape_hess(i, q))
+                ref[d] += wq * (prob.y_d(*q) * el.shape_value(i, q)
+                                - prob.beta * prob.f(*q) * lap)
+    assert np.abs(b - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
 def test_zero_data_gives_zero_load(unit_cross):
     dm = DofMap(unit_cross)
     prob = ProblemSpec(name="zero", domain=(0, 0, 1, 1), beta=1.0,
@@ -135,6 +158,22 @@ def test_box_constraints_and_validation():
     bad = example(4)
     bad.u_a, bad.u_b = bad.u_b, bad.u_a
     with pytest.raises(AssemblyError):
+        assemble_constraints(dm, bad)
+
+
+def test_nonfinite_constraint_data_rejected():
+    dm = DofMap(initial_mesh(0.0, 1.0, 2))
+    # ex4 has u_a = 0 < u_b = 30; each replacement keeps u_a < u_b where finite
+    nan_right = lambda x, y: np.where(x > 0.7, np.nan, 1.0 + 0 * x)  # noqa: E731
+    inf = lambda x, y: np.full_like(np.asarray(x, float), np.inf)  # noqa: E731
+    for field, fn in (("u_a", nan_right), ("u_b", nan_right), ("u_b", inf)):
+        bad = example(4)
+        setattr(bad, field, fn)
+        with pytest.raises(AssemblyError, match="non-finite"):
+            assemble_constraints(dm, bad)
+    bad = poly_problem()
+    bad.f = nan_right
+    with pytest.raises(AssemblyError, match="source integral"):
         assemble_constraints(dm, bad)
 
 

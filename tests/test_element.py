@@ -6,7 +6,8 @@ from morley_ocp.element import (DofMap, ElementError, edge_rule, integrate,
                                 triangle_rule, bary_monomial_integral)
 from morley_ocp.mesh import initial_mesh, uniform_refine
 
-from oracles import interpolate, tri_quad
+from conftest import random_mesh
+from oracles import eval_function_einsum, interpolate, tri_quad
 
 
 def evaluate(dm, u, element, bary):
@@ -25,6 +26,13 @@ def test_triangle_rule_weight_normalization():
         assert r.weights.sum() == pytest.approx(1.0, rel=1e-13)
         assert np.all(r.weights > 0)
         assert np.all(r.points >= -1e-14) and np.all(r.points <= 1 + 1e-14)
+
+
+def test_triangle_rule_point_counts():
+    # the plain collapsed rule: m = (degree + 3) // 2 points per direction
+    for d, n in ((6, 16), (8, 25), (10, 36)):
+        assert len(triangle_rule(d).weights) == n
+        assert triangle_rule(d).points.shape == (n, 3)
 
 
 def test_triangle_rule_bubble_integral():
@@ -60,7 +68,6 @@ def test_triangle_rule_exactness_vs_factorial_formula(a, b, c):
 
 def test_seven_dof_duality_identity():
     for seed in range(3):
-        from conftest import random_mesh
         mesh = random_mesh(seed, max_elements=12)
         dm = DofMap(mesh)
         I = np.einsum("tij,tjk->tik", dm.D, dm.C)
@@ -108,6 +115,33 @@ def test_hessian_matches_fd_of_gradient():
         _, gm, _ = evaluate(dm, u, t, bm)
         fd = (gp - gm) / (2 * h)
         assert np.allclose(H[:, d], fd, rtol=1e-6, atol=1e-6 * np.abs(H).max())
+
+
+def test_eval_function_matches_einsum_formula():
+    mesh = uniform_refine(random_mesh(3, max_elements=12), 1)
+    dm = DofMap(mesh)
+    u = np.random.default_rng(8).standard_normal(dm.n_dofs)
+
+    def assert_close(got, ref):
+        for g, r in zip(got, ref):
+            assert g.shape == r.shape
+            assert np.abs(g - r).max() <= 1e-13 * np.abs(r).max()
+
+    # shared points: the degree-8 rule on every element
+    bary = triangle_rule(8).points
+    assert_close(dm.eval_function(u, bary), eval_function_einsum(dm, u, bary))
+
+    # per-element points: Gauss points of each interior edge, seen from
+    # both neighbours
+    ids = np.flatnonzero(mesh.interior_edges)
+    a, b = (mesh.vertices[mesh.edges[ids, k]] for k in (0, 1))
+    s = edge_rule(5).points
+    pts = a[:, None, :] + s[None, :, None] * (b - a)[:, None, :]
+    for side in (0, 1):
+        elems = mesh.edge_elements[ids, side]
+        bary = mesh.barycentric(elems, pts)
+        assert_close(dm.eval_function(u, bary, elems),
+                     eval_function_einsum(dm, u, bary, elems))
 
 
 # -- interpolation -----------------------------------------------------

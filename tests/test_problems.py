@@ -206,3 +206,17 @@ def test_problem_validation():
         ProblemSpec(name="bad", domain=(0, 0, 1, 1), beta=1.0,
                     y_d=lambda x, y: x, f=None, f_laplacian=None,
                     case="weird", delta1=0.0, delta2=0.0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("case, bounds, name", [
+    ("integral", {"delta1": 0.0, "delta2": 0.0}, "delta1"),
+    ("integral", {"delta1": 0.0, "delta2": 0.0}, "delta2"),
+    ("box", {"delta3": 0.0, "u_a": lambda x, y: 0 * x,
+             "u_b": lambda x, y: 1 + 0 * x}, "delta3"),
+])
+def test_nonfinite_constraint_bound_rejected(case, bounds, name, bad):
+    with pytest.raises(ProblemError, match=name):
+        ProblemSpec(name="bad", domain=(0, 0, 1, 1), beta=1.0,
+                    y_d=lambda x, y: x, f=None, f_laplacian=None,
+                    case=case, **dict(bounds, **{name: bad}))

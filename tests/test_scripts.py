@@ -1,13 +1,15 @@
-"""The experiment wrappers in ``scripts/`` run end to end on small budgets."""
+"""The experiment wrappers in ``scripts/`` run end to end on small budgets,
+and the benchmark's layer tracing still finds every layer it wraps."""
 
+import json
 import os
 import subprocess
 import sys
 
 from conftest import child_env
 
-SCRIPTS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                       "scripts")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SCRIPTS = os.path.join(ROOT, "scripts")
 
 
 def run_script(name, *args, cwd):
@@ -30,3 +32,15 @@ def test_reproduce_benchmarks_quick(tmp_path):
     for name in ("ex1", "ex1-uniform", "ex2", "ex3", "ex4"):
         assert (out / name / "run.json").is_file()
     assert any((out / "report").iterdir())
+
+
+def test_perfbench_trace_covers_every_layer():
+    # the trace exits 2 when a wrapped entry point is renamed or no longer
+    # called (a span that never fires) or work moves outside the wrapped
+    # layers; this catches that before a benchmark run does
+    res = subprocess.run(
+        [sys.executable, os.path.join(ROOT, "perfbench", "run.py"),
+         "--workload", "ex4-uniform", "--seconds", "1", "--trace", "1"],
+        capture_output=True, text=True, env=child_env(), timeout=600)
+    assert res.returncode == 0, res.stdout[-3000:] + res.stderr
+    assert json.loads(res.stdout.strip().splitlines()[-1])["correct"] is True

@@ -339,6 +339,24 @@ def test_kkt_residual_detects_perturbation(unit_cross):
     assert stat1 > 1e-6
 
 
+def test_kkt_residual_keeps_nan_violation(unit_cross):
+    # a NaN bound must not read as a satisfied constraint
+    _, A, b, cons = setup_case_i(manufactured(1), unit_cross)
+    sol = solve_case_i(A, b, cons)
+    cons.control_bound = np.nan
+    _, feas, comp = kkt_residual(A, b, cons, sol)
+    assert np.isnan(feas) and np.isnan(comp)
+
+    prob = box_problem()
+    dm = DofMap(unit_cross)
+    A, b = assemble_system(dm, prob)
+    cons = assemble_constraints(dm, prob)
+    sol = solve_case_ii(A, b, cons)
+    cons.upper[0] = np.nan
+    _, feas, _ = kkt_residual(A, b, cons, sol)
+    assert np.isnan(feas)
+
+
 # -- optimality properties --------------------------------------------------
 
 def _project_feasible(x, rows, bounds):
