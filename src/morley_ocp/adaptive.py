@@ -5,7 +5,9 @@ the minimal prefix of elements, ordered by decreasing indicator (ties by
 ascending id), whose sum reaches ``theta`` times the total.  Refinement is
 newest-vertex bisection.  Every iteration records DOF count, estimator
 parts, errors against the reference solution when available, multiplier
-summaries, KKT certificates, and wall time.
+summaries, KKT certificates, and wall time.  In the box case each level's
+PDAS iteration starts from the previous level's active set, carried to the
+children through ``Mesh.parent``.
 """
 
 from __future__ import annotations
@@ -140,13 +142,13 @@ def _lambda_summary(solution):
     return f"min={lmin!r};max={lmax!r};nlo={nlo};nup={nup}", lmin, lmax, nlo, nup
 
 
-def solve_on_mesh(problem, mesh):
+def solve_on_mesh(problem, mesh, guess=None):
     """One SOLVE+ESTIMATE pass; returns (dofmap, solution, breakdown,
-    error_report, kkt)."""
+    error_report, kkt).  ``guess`` is the box case's starting active set."""
     dofmap = DofMap(mesh)
     A, b = assemble_system(dofmap, problem)
     cons = assemble_constraints(dofmap, problem)
-    solution = solve_vi(A, b, cons)
+    solution = solve_vi(A, b, cons, guess)
     kkt = kkt_residual(A, b, cons, solution)
     breakdown = estimate(dofmap, solution, problem)
     report = None
@@ -167,12 +169,13 @@ def adaptive_solve(problem, adapt=None):
     mesh = initial_mesh(lo, hi, adapt.initial_subdivisions)
     records = []
     run = AdaptiveRun(records)
+    guess = None
 
     for it in range(MAX_ITERATIONS):
         t0 = time.perf_counter()
         try:
             dofmap, solution, breakdown, report, kkt = solve_on_mesh(
-                problem, mesh)
+                problem, mesh, guess)
         except SolverError as exc:
             raise AdaptiveError(str(exc), it) from exc
         wall_ms = 1000.0 * (time.perf_counter() - t0)
@@ -216,5 +219,7 @@ def adaptive_solve(problem, adapt=None):
         else:
             marked = doerfler_mark(breakdown.element_indicators, adapt.theta)
         mesh = bisect(mesh, marked)
+        if solution.case == "box":
+            guess = solution.active_control[mesh.parent]
 
     return run

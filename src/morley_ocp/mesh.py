@@ -48,9 +48,12 @@ class Mesh:
     edge_normals : (ne, 2) float array, unit normals (outward on boundary)
     elem_edges : (nt, 3) int array, global edge id of local edge k
     vertex_on_boundary : (nv,) bool array
+    parent : (nt,) int array or None; for a mesh made by :func:`bisect`,
+        the id of each element's ancestor in the mesh that was bisected
+        (None for :func:`initial_mesh` and meshes built by hand)
     """
 
-    def __init__(self, vertices, elements, refinement_edge):
+    def __init__(self, vertices, elements, refinement_edge, parent=None):
         self.vertices = np.ascontiguousarray(vertices, dtype=float)
         self.elements = np.ascontiguousarray(elements, dtype=np.int64)
         self.refinement_edge = np.ascontiguousarray(refinement_edge, dtype=np.int64)
@@ -58,11 +61,13 @@ class Mesh:
             raise MeshError("non-finite vertex coordinates")
         if self.elements.ndim != 2 or self.elements.shape[1] != 3:
             raise MeshError("elements must be (nt, 3)")
+        self.parent = None if parent is None else np.array(parent, np.int64)
         self._build_topology()
         for a in (self.vertices, self.elements, self.refinement_edge,
                   self.edges, self.edge_elements, self.edge_normals,
-                  self.elem_edges, self.vertex_on_boundary):
-            a.flags.writeable = False
+                  self.elem_edges, self.vertex_on_boundary, self.parent):
+            if a is not None:
+                a.flags.writeable = False
 
     # -- construction ------------------------------------------------
 
@@ -93,12 +98,13 @@ class Mesh:
         tang = tang / lengths[:, None]
         normals = np.stack([-tang[:, 1], tang[:, 0]], axis=1)
 
+        # entry i of ``inverse`` is an edge of element i % nt; a stable sort
+        # keeps that order, and an edge's second occurrence takes slot 1
+        order = np.argsort(inverse, kind="stable")
+        gid = inverse[order]
+        second = np.r_[False, gid[1:] == gid[:-1]]
         adj = np.full((ne, 2), -1, dtype=np.int64)
-        slot = np.zeros(ne, dtype=np.int64)
-        owner = np.tile(np.arange(nt), 3)
-        for gid, t in zip(inverse, owner):
-            adj[gid, slot[gid]] = t
-            slot[gid] += 1
+        adj[gid, second.astype(np.int64)] = order % nt
 
         centroids = p.mean(axis=1)
         mids = 0.5 * (self.vertices[uniq[:, 0]] + self.vertices[uniq[:, 1]])
@@ -262,7 +268,8 @@ def bisect(mesh, marked):
     """Bisect all ``marked`` elements, closing recursively for conformity.
 
     Every marked element is bisected at least once; neighbors are bisected
-    first whenever the refinement edges disagree.  Returns a new mesh.
+    first whenever the refinement edges disagree.  Returns a new mesh whose
+    ``parent`` maps each element to the element of ``mesh`` it lies in.
     """
     marked = sorted(set(int(t) for t in marked))
     if not marked:
@@ -273,6 +280,7 @@ def bisect(mesh, marked):
     verts = [tuple(v) for v in mesh.vertices]
     tris = [list(t) for t in mesh.elements]
     ref = list(mesh.refinement_edge)
+    origin = list(range(len(tris)))
     alive = [True] * len(tris)
     edge2elems = {}
     for t, tri in enumerate(tris):
@@ -313,6 +321,7 @@ def bisect(mesh, marked):
         for child, rloc in (([a, m, p], 1), ([m, b, p], 0)):
             tris.append(child)
             ref.append(rloc)
+            origin.append(origin[t])
             alive.append(True)
             tid = len(tris) - 1
             for kk in range(3):
@@ -345,7 +354,8 @@ def bisect(mesh, marked):
     keep = [t for t in range(len(tris)) if alive[t]]
     new_elements = np.array([tris[t] for t in keep], dtype=np.int64)
     new_ref = np.array([ref[t] for t in keep], dtype=np.int64)
-    return Mesh(np.array(verts, dtype=float), new_elements, new_ref)
+    return Mesh(np.array(verts, dtype=float), new_elements, new_ref,
+                [origin[t] for t in keep])
 
 
 def _ekey(a, b):

@@ -59,8 +59,8 @@ class ProblemSpec:
     multipliers: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.beta <= 0:
-            raise ProblemError("beta must be positive")
+        if not (np.isfinite(self.beta) and self.beta > 0):
+            raise ProblemError("beta must be positive and finite")
         if self.case == "integral":
             if self.delta1 is None or self.delta2 is None:
                 raise ProblemError("integral case needs delta1 and delta2")

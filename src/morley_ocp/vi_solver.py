@@ -8,18 +8,20 @@ constraints.  Two structures occur:
   back-solve for ``A^{-1} b`` and one for ``A^{-1}`` of both rows;
 * box case: the scalar state row plus per-element control boxes, solved by
   a primal-dual active set iteration with an outer enumeration over the
-  state row.
+  state row, started from a given active set (the adaptive loop passes
+  the parent mesh's sets: a warm start as in Hintermueller, Ito and
+  Kunisch, SIAM J. Optim. 13, 2002).
 
 Every matrix is factored by SuperLU in symmetric mode (a fill-reducing
 ordering of ``A + A'`` with diagonal pivots).  Equality-constrained
-subproblems use a Schur complement on the cached factorization of A when
-few rows are pinned, followed by one correction step that restores the
-pinned rows to rounding level.  When many rows are pinned they factor the
-regularized saddle ``[[A, R'], [R, -eps I]]``, which is symmetric
-quasi-definite (Vanderbei, SIAM J. Optim. 5, 1995), with ``eps`` derived
-from the diagonal of A, and refine its answer against the true bordered
-KKT system.  All solves share one iterative-refinement loop that certifies
-the relative residual.  Multipliers follow the sign convention
+subproblems use a Schur complement on a factorization of A, made on first
+use, when few rows are pinned, followed by one correction step that
+restores the pinned rows to rounding level.  When many rows are pinned
+they factor the regularized saddle ``[[A, R'], [R, -eps I]]``, which is
+symmetric quasi-definite (Vanderbei, SIAM J. Optim. 5, 1995), with ``eps``
+derived from the diagonal of A, and refine its answer against the true
+bordered KKT system.  All solves share one iterative-refinement loop that
+certifies the relative residual.  Multipliers follow the sign convention
 ``A x - b - mu * state_row - sum(lambda_T * row_T) = 0`` with ``mu >= 0``
 and ``lambda`` nonnegative on lower-active, nonpositive on upper-active
 rows.
@@ -27,6 +29,7 @@ rows.
 
 from __future__ import annotations
 
+import functools
 import logging
 from dataclasses import dataclass
 
@@ -181,15 +184,15 @@ def solve_equality_qp(A, b, rows, targets, solver=None):
     functionals.  Returns (x, multipliers, schur_condition) with the
     stationarity convention ``A x - b - rows' @ multipliers = 0``.
     """
-    solver = solver or SpdSolver(A)
     targets = np.asarray(targets, dtype=float)
     k = 0 if rows is None else (rows.shape[0] if sp.issparse(rows)
                                 else len(rows))
     if k == 0:
-        return solver.solve(b), np.zeros(0), np.nan
+        return (solver or SpdSolver(A)).solve(b), np.zeros(0), np.nan
 
     R = rows if sp.issparse(rows) else sp.csr_matrix(np.atleast_2d(rows))
     if k <= SCHUR_ROW_LIMIT:
+        solver = solver or SpdSolver(A)
         return _schur(solver.solve(b), solver.solve(R.toarray().T), R, targets)
 
     n = A.shape[0]
@@ -255,26 +258,32 @@ def solve_case_i(A, b, constraints: ConstraintSet):
                       "signed multipliers (Slater violation or bad data)")
 
 
-def solve_case_ii(A, b, constraints: ConstraintSet):
+def solve_case_ii(A, b, constraints: ConstraintSet, guess=None):
     """Primal-dual active set iteration for per-element control boxes.
 
     The scalar state row is handled by an outer enumeration (inactive
     branch first); inside, the standard PDAS switching rule on the
-    element-average residuals updates the sets until they repeat.
+    element-average residuals updates the sets until they repeat.  Both
+    branches start from ``guess`` (-1/0/+1 per element as in
+    ``active_control``; None is empty) and share a lazily built factor of A.
     """
     if constraints.case != "box":
         raise SolverError("solve_case_ii needs a box-case ConstraintSet")
-    solver = SpdSolver(A)
     s, ds = constraints.state_row, constraints.state_bound
     areas = constraints.areas
     if areas is None:
         raise SolverError("box-case ConstraintSet is missing element areas")
+    guess = np.zeros(len(areas), int) if guess is None else np.asarray(guess)
+    if guess.shape != areas.shape:
+        raise SolverError(f"active-set guess has shape {guess.shape} for "
+                          f"{len(areas)} elements")
+    spd = functools.cache(lambda: SpdSolver(A))
     sign_tol = COMPLEMENTARITY_TOLERANCE * _load_scale(b)
 
     last_error = None
     for state_active in (False, True):
         try:
-            result = _pdas(A, b, constraints, solver, state_active, areas)
+            result = _pdas(A, b, constraints, spd, state_active, areas, guess)
         except SolverError as exc:
             last_error = exc
             continue
@@ -293,7 +302,7 @@ def solve_case_ii(A, b, constraints: ConstraintSet):
                       f"{last_error}")
 
 
-def _pdas(A, b, constraints, solver, state_active, areas):
+def _pdas(A, b, constraints, spd, state_active, areas, guess):
     s, ds = constraints.state_row, constraints.state_bound
     rows, lower, upper = (constraints.element_rows, constraints.lower,
                           constraints.upper)
@@ -302,8 +311,8 @@ def _pdas(A, b, constraints, solver, state_active, areas):
     q_up = upper / areas
 
     lam = np.zeros(nt)
-    act_lo = np.zeros(nt, dtype=bool)
-    act_up = np.zeros(nt, dtype=bool)
+    act_lo = guess == -1
+    act_up = guess == 1
     seen = set()
     cond = np.nan
     for it in range(1, PDAS_MAX_ITERATIONS + 1):
@@ -321,6 +330,7 @@ def _pdas(A, b, constraints, solver, state_active, areas):
             targets.extend(lower[ids_lo])
             targets.extend(upper[ids_up])
         R = sp.vstack(blocks, format="csr") if blocks else None
+        solver = spd() if len(targets) <= SCHUR_ROW_LIMIT else None
         x, nu, cond = solve_equality_qp(A, b, R, targets, solver)
 
         mu = 0.0
@@ -355,11 +365,11 @@ def _pdas(A, b, constraints, solver, state_active, areas):
                       f"{PDAS_MAX_ITERATIONS} iterations")
 
 
-def solve_vi(A, b, constraints):
-    """Dispatch on the constraint case."""
+def solve_vi(A, b, constraints, guess=None):
+    """Dispatch on the constraint case (``guess``: see solve_case_ii)."""
     if constraints.case == "integral":
         return solve_case_i(A, b, constraints)
-    return solve_case_ii(A, b, constraints)
+    return solve_case_ii(A, b, constraints, guess)
 
 
 def kkt_residual(A, b, constraints, solution):

@@ -13,7 +13,8 @@ package's primitive basis: it checks only the contraction order of
 The last section holds tools of the method's analysis that the solver
 loop never calls: the interpolation operator I_h (it uses the package's
 quadrature rules), a Slater-point check of the problem data, the minimum
-angle of a mesh and a conformity check of a mesh of a rectangle.
+angle of a mesh, a conformity check of a mesh of a rectangle, and a
+per-entry loop reference for the vectorized ``Mesh.edge_elements`` fill.
 """
 
 import numpy as np
@@ -521,3 +522,22 @@ def assert_conforming(mesh, lo, hi):
     total = float(mesh.areas.sum())
     if abs(total - area) > 1e-12 * area:
         raise AssertionError(f"element areas sum to {total!r}, not {area!r}")
+
+
+def edge_elements_loop(mesh):
+    """``Mesh.edge_elements`` rebuilt with a per-entry Python loop: each
+    edge's elements in the order (local edge, element id), then each
+    interior pair ordered so the normal points from plus to minus."""
+    nt = mesh.n_elements
+    adj = np.full((mesh.n_edges, 2), -1, dtype=np.int64)
+    slot = np.zeros(mesh.n_edges, dtype=np.int64)
+    for gid, t in zip(mesh.elem_edges.T.ravel(), np.tile(np.arange(nt), 3)):
+        adj[gid, slot[gid]] = t
+        slot[gid] += 1
+    centroids = mesh.vertices[mesh.elements].mean(axis=1)
+    mids = 0.5 * (mesh.vertices[mesh.edges[:, 0]]
+                  + mesh.vertices[mesh.edges[:, 1]])
+    s0 = np.einsum("ij,ij->i", mesh.edge_normals, centroids[adj[:, 0]] - mids)
+    swap = (adj[:, 1] >= 0) & (s0 > 0)
+    adj[swap] = adj[swap][:, ::-1]
+    return adj

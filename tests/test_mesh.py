@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from morley_ocp.mesh import Mesh, MeshError, bisect, initial_mesh, uniform_refine
 
-from oracles import assert_conforming, min_angle
+from oracles import assert_conforming, edge_elements_loop, min_angle
 
 
 def test_unit_cross_counts(unit_cross):
@@ -183,8 +183,42 @@ def test_random_refinement_stays_conforming(marks):
     m = initial_mesh(0.0, 1.0, 1)
     for mark in marks:
         m = bisect(m, [mark % m.n_elements])
+        np.testing.assert_array_equal(m.edge_elements, edge_elements_loop(m))
     assert_conforming(m, 0.0, 1.0)
     assert min_angle(m) >= 45.0 - 1e-9
+
+
+def _check_parent_map(old, new):
+    parent = new.parent
+    assert parent.shape == (new.n_elements,) and not parent.flags.writeable
+    # every element of the old mesh has at least one child, and the
+    # children's areas add up to it
+    np.testing.assert_allclose(
+        np.bincount(parent, weights=new.areas, minlength=old.n_elements),
+        old.areas, rtol=1e-13)
+    # every child's centroid lies inside its parent
+    centroids = new.vertices[new.elements].mean(axis=1)
+    assert np.all(old.barycentric(parent, centroids) > -1e-12)
+    # an element the bisection left alone maps to the same vertex set
+    # (bisection keeps the old vertex ids and appends the midpoints)
+    assert np.array_equal(new.vertices[:old.n_vertices], old.vertices)
+    kept = np.bincount(parent, minlength=old.n_elements)[parent] == 1
+    assert np.array_equal(np.sort(new.elements[kept], axis=1),
+                          np.sort(old.elements[parent[kept]], axis=1))
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.lists(st.lists(st.integers(min_value=0, max_value=10**6),
+                         min_size=1, max_size=4),
+                min_size=1, max_size=5))
+def test_random_refinement_parent_map(mark_sets):
+    m = initial_mesh(0.0, 1.0, 1)
+    assert m.parent is None
+    for marks in mark_sets:
+        new = bisect(m, [mark % m.n_elements for mark in marks])
+        _check_parent_map(m, new)
+        m = new
+    _check_parent_map(m, uniform_refine(m))
 
 
 def test_hanging_node_is_not_conforming():

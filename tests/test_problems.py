@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -220,3 +222,11 @@ def test_nonfinite_constraint_bound_rejected(case, bounds, name, bad):
         ProblemSpec(name="bad", domain=(0, 0, 1, 1), beta=1.0,
                     y_d=lambda x, y: x, f=None, f_laplacian=None,
                     case=case, **dict(bounds, **{name: bad}))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0])
+def test_nonpositive_or_nonfinite_beta_rejected(bad):
+    # beta <= 0 is False for NaN; such a problem used to fail only at the
+    # first factorization
+    with pytest.raises(ProblemError, match="beta"):
+        replace(example(4), beta=bad)

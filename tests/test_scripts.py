@@ -43,4 +43,8 @@ def test_perfbench_trace_covers_every_layer():
          "--workload", "ex4-uniform", "--seconds", "1", "--trace", "1"],
         capture_output=True, text=True, env=child_env(), timeout=600)
     assert res.returncode == 0, res.stdout[-3000:] + res.stderr
-    assert json.loads(res.stdout.strip().splitlines()[-1])["correct"] is True
+    summary = json.loads(res.stdout.strip().splitlines()[-1])
+    assert summary["correct"] is True
+    # PDAS started from empty sets on every level takes 25 iterations on
+    # this study; the warm start from the parent mesh's sets takes 17
+    assert summary["metrics"]["vi_solver.iterations"]["value"] < 25

@@ -315,6 +315,89 @@ def test_case_ii_certificate_on_sixteen_elements():
     assert max(stat, feas, comp) <= 1e-9
 
 
+# -- warm start and factorization on first use -----------------------------
+
+def _box_system(prob, mesh):
+    dm = DofMap(mesh)
+    A, b = assemble_system(dm, prob)
+    return A, b, assemble_constraints(dm, prob)
+
+
+WARM_START_CASES = {
+    # the 16-element certificate problem: nothing binds
+    "sixteen": lambda: (box_problem(lo=-2.0, hi=2.0, delta3=-100.0),
+                        initial_mesh(0.0, 1.0, 2)),
+    # state row and every upper box bind; the inactive branch fails first
+    "sixteen-state": lambda: (box_problem(lo=-2.0, hi=2.0, delta3=0.3),
+                              initial_mesh(0.0, 1.0, 2)),
+    "ex4": lambda: (example(4), initial_mesh(0.0, 1.0, 4)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WARM_START_CASES))
+def test_case_ii_warm_start_from_solution_takes_one_iteration(name):
+    A, b, cons = _box_system(*WARM_START_CASES[name]())
+    cold = solve_case_ii(A, b, cons)
+    warm = solve_case_ii(A, b, cons, cold.active_control)
+    assert warm.iterations == 1
+    assert warm.active_state == cold.active_state
+    np.testing.assert_array_equal(warm.active_control, cold.active_control)
+    scale = np.abs(cold.coefficients).max()
+    assert np.abs(warm.coefficients - cold.coefficients).max() <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("name", sorted(WARM_START_CASES))
+def test_case_ii_adversarial_guess_reaches_cold_solution(name):
+    A, b, cons = _box_system(*WARM_START_CASES[name]())
+    nt = cons.element_rows.shape[0]
+    cold = solve_case_ii(A, b, cons)
+    scale = np.abs(cold.coefficients).max()
+    rng = np.random.default_rng(8)
+    for guess in (np.ones(nt, dtype=np.int64), rng.integers(-1, 2, nt)):
+        sol = solve_case_ii(A, b, cons, guess)
+        assert sol.active_state == cold.active_state
+        np.testing.assert_array_equal(sol.active_control, cold.active_control)
+        assert np.abs(sol.coefficients - cold.coefficients).max() <= (
+            1e-12 * scale)
+        assert max(kkt_residual(A, b, cons, sol)) <= 1e-9
+
+
+def _count_spd_factorizations(monkeypatch):
+    built = []
+    real = vi_solver.SpdSolver
+
+    def counting(A):
+        built.append(A)
+        return real(A)
+
+    monkeypatch.setattr(vi_solver, "SpdSolver", counting)
+    return built
+
+
+def test_case_ii_factors_spd_only_when_a_solve_uses_it(monkeypatch):
+    # warm: every iteration pins more rows than SCHUR_ROW_LIMIT, so every
+    # solve takes the saddle route and A is never factored on its own
+    A, b, cons = _box_system(example(4),
+                             uniform_refine(initial_mesh(0.0, 1.0, 4), 2))
+    cold = solve_case_ii(A, b, cons)
+    assert np.count_nonzero(cold.active_control) > vi_solver.SCHUR_ROW_LIMIT
+    built = _count_spd_factorizations(monkeypatch)
+    warm = solve_case_ii(A, b, cons, cold.active_control)
+    assert warm.iterations == 1 and built == []
+    # cold: both state branches run Schur-route solves and share one factor
+    A, b, cons = _box_system(*WARM_START_CASES["sixteen-state"]())
+    sol = solve_case_ii(A, b, cons)
+    assert sol.active_state and len(built) == 1
+
+
+@pytest.mark.parametrize("guess", [np.zeros(15), np.zeros(17),
+                                   np.zeros((16, 1))])
+def test_case_ii_guess_of_wrong_shape_raises(guess):
+    A, b, cons = _box_system(*WARM_START_CASES["sixteen"]())
+    with pytest.raises(SolverError, match="guess has shape"):
+        solve_case_ii(A, b, cons, guess)
+
+
 # -- KKT residual ----------------------------------------------------------
 
 def test_kkt_residual_zero_problem(unit_cross):
