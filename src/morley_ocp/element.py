@@ -229,59 +229,41 @@ class DofMap:
 
     # -- coefficient gathering -------------------------------------------
 
-    def local_coefficients(self, u, elems=None):
-        """(m, 7) per-element coefficients; pinned slots contribute zero."""
-        u = np.asarray(u, dtype=float)
-        padded = np.concatenate([u, [0.0]])
-        cd = self.cell_dofs if elems is None else self.cell_dofs[elems]
-        idx = np.where(cd >= 0, cd, self.n_dofs)
-        return padded[idx]
-
-    def prim_coefficients(self, u, elems=None):
-        """(m, 7) coefficients of the discrete function in the primitive
-        basis on each element."""
-        local = self.local_coefficients(u, elems)
-        C = self.C if elems is None else self.C[elems]
-        return np.einsum("tij,tj->ti", C, local)
+    def prim_coefficients(self, u):
+        """(nt, 7) coefficients of the discrete function in the primitive
+        basis on each element; pinned slots contribute zero."""
+        padded = np.concatenate([np.asarray(u, dtype=float), [0.0]])
+        local = padded[np.where(self.cell_dofs >= 0, self.cell_dofs, self.n_dofs)]
+        return np.einsum("tij,tj->ti", self.C, local)
 
     # -- evaluation -------------------------------------------------------
 
-    def eval_function(self, u, bary, elems=None):
-        """Evaluate (value, gradient, hessian) of a coefficient vector.
-
-        With ``elems=None``: ``bary`` is (q, 3) shared by all elements and
-        the results are (nt, q), (nt, q, 2), (nt, q, 2, 2).  Otherwise
-        ``bary`` is (m, q, 3) matching ``elems`` of shape (m,).
+    def eval_function(self, u, bary):
+        """Evaluate (value, gradient, hessian) of a coefficient vector at
+        barycentric points ``bary`` (q, 3) shared by all elements; the
+        results are (nt, q), (nt, q, 2), (nt, q, 2, 2).
         """
-        mesh = self.mesh
-        a = self.prim_coefficients(u, elems)
-        G = mesh.grad_lambda if elems is None else mesh.grad_lambda[elems]
+        a = self.prim_coefficients(u)
+        G = self.mesh.grad_lambda
         bary = np.asarray(bary, dtype=float)
-        P, dP, d2P = prim_values(bary), prim_dlam(bary), prim_d2lam(bary)
         # contract the coefficients first, on the barycentric derivatives;
         # only the small results meet the element gradients G
-        if elems is None:
-            val, gl, hl = (np.tensordot(a, X, axes=(1, 1)) for X in (P, dP, d2P))
-        else:
-            val = np.einsum("mi,mqi->mq", a, P)
-            gl = np.einsum("mi,mqik->mqk", a, dP)
-            hl = np.einsum("mi,mqikl->mqkl", a, d2P)
+        val, gl, hl = (np.tensordot(a, X, axes=(1, 1)) for X in
+                       (prim_values(bary), prim_dlam(bary), prim_d2lam(bary)))
         grad = gl @ G
         Gq = G[:, None]
         hess = np.swapaxes(Gq, 2, 3) @ hl @ Gq
         return val, grad, hess
 
-    def grad_laplacian(self, u, elems=None):
-        """(m, 2) gradient of the element-wise Laplacian (constant per
+    def grad_laplacian(self, u):
+        """(nt, 2) gradient of the element-wise Laplacian (constant per
         element; only the bubble contributes)."""
-        mesh = self.mesh
-        a = self.prim_coefficients(u, elems)
-        G = mesh.grad_lambda if elems is None else mesh.grad_lambda[elems]
-        return a[:, 6, None] * _bubble_grad_laplacian(G)
+        a = self.prim_coefficients(u)
+        return a[:, 6, None] * _bubble_grad_laplacian(self.mesh.grad_lambda)
 
 
 def _bubble_grad_laplacian(G):
-    """grad(Delta(l0 l1 l2)) as a constant per element; G is (m, 3, 2)."""
+    """grad(Delta(l0 l1 l2)) as a constant per element; G is (nt, 3, 2)."""
     d01 = np.einsum("tx,tx->t", G[:, 0], G[:, 1])
     d12 = np.einsum("tx,tx->t", G[:, 1], G[:, 2])
     d20 = np.einsum("tx,tx->t", G[:, 2], G[:, 0])

@@ -19,7 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from .element import DofMap, edge_rule, triangle_rule, prim_values
+from .element import DofMap, _edge_bary, edge_rule, prim_values, triangle_rule
 
 EDGE_RULE_DEGREE = 5          # Gauss-3: exact for every jump integrand
 INTERIOR_RULE_DEGREE = 6
@@ -92,15 +92,6 @@ def eta_interior(dofmap: DofMap, y, mu, lam_elem, problem):
     return eta1_sq, eta5_sq
 
 
-def _edge_side_eval(dofmap, y, edge_ids, side, pts_phys):
-    mesh = dofmap.mesh
-    elems = mesh.edge_elements[edge_ids, side]
-    bary = mesh.barycentric(elems, pts_phys)
-    _, grad, hess = dofmap.eval_function(y, bary, elems)
-    grad_lap = dofmap.grad_laplacian(y, elems)
-    return grad, hess, grad_lap
-
-
 def eta_edges(dofmap: DofMap, y, beta):
     """Interior-edge jump terms eta2 (dw/dn), eta3 (d2w/dn2), eta4
     (d(Delta w)/dn); boundary edges contribute nothing."""
@@ -113,15 +104,30 @@ def eta_edges(dofmap: DofMap, y, beta):
     if len(ids) == 0:
         return eta2, eta3, eta4
 
+    # y_h on the Gauss points of every element's three local edges
     rule = edge_rule(EDGE_RULE_DEGREE)
-    a = mesh.vertices[mesh.edges[ids, 0]]
-    b = mesh.vertices[mesh.edges[ids, 1]]
-    pts = a[:, None, :] + rule.points[None, :, None] * (b - a)[:, None, :]
+    nq = len(rule.points)
+    bary = np.concatenate([_edge_bary(k, rule.points) for k in range(3)])
+    _, grad, hess = dofmap.eval_function(y, bary)
+    grad = grad.reshape(mesh.n_elements, 3, nq, 2)
+    hess = hess.reshape(mesh.n_elements, 3, nq, 2, 2)
+    grad_lap = dofmap.grad_laplacian(y)
+
+    def trace(side):
+        # local edge k of t runs from its vertex (k+1)%3 to (k+2)%3; read
+        # the points backwards where that is not the edge's first endpoint
+        # (the Gauss rule is symmetric about 1/2)
+        t = mesh.edge_elements[ids, side]
+        k = np.argmax(mesh.elem_edges[t] == ids[:, None], axis=1)
+        forward = mesh.elements[t, (k + 1) % 3] == mesh.edges[ids, 0]
+        q = np.where(forward[:, None], np.arange(nq), np.arange(nq)[::-1])
+        tq, kq = t[:, None], k[:, None]
+        return grad[tq, kq, q], hess[tq, kq, q], grad_lap[t]
+
+    grad_p, hess_p, gl_p = trace(0)
+    grad_m, hess_m, gl_m = trace(1)
     n = mesh.edge_normals[ids]
     h = mesh.edge_lengths[ids]
-
-    grad_p, hess_p, gl_p = _edge_side_eval(dofmap, y, ids, 0, pts)
-    grad_m, hess_m, gl_m = _edge_side_eval(dofmap, y, ids, 1, pts)
 
     # ||jump||^2_{L2(e)} = h_e * sum(w * jump^2); the h_e weights of the
     # three terms are h_e^{-1}, h_e and h_e^3

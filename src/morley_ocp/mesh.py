@@ -172,30 +172,6 @@ class Mesh:
             g[:, i, 1] = d[:, 0]
         return g / twoA[:, None]
 
-    @cached_property
-    def _bary_matrix(self):
-        """(nt, 2, 2) inverse Jacobians used to map x -> (lambda_1, lambda_2)."""
-        p = self.vertices[self.elements]
-        J = np.stack([p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]], axis=2)
-        return np.linalg.inv(J)
-
-    def barycentric(self, elems, points):
-        """Barycentric coordinates of physical ``points`` inside ``elems``.
-
-        ``elems`` is (m,) and ``points`` is (m, 2) or (m, q, 2); the result
-        appends a coordinate axis of size 3.
-        """
-        elems = np.asarray(elems, dtype=np.int64)
-        points = np.asarray(points, dtype=float)
-        v0 = self.vertices[self.elements[elems, 0]]
-        M = self._bary_matrix[elems]
-        if points.ndim == 3:
-            v0 = v0[:, None, :]
-            M = M[:, None, :, :]
-        lam12 = np.einsum("...xy,...y->...x", M, points - v0)
-        lam0 = 1.0 - lam12.sum(axis=-1, keepdims=True)
-        return np.concatenate([lam0, lam12], axis=-1)
-
     def physical_points(self, bary):
         """Physical coordinates of shared barycentric points on all elements.
 

@@ -83,7 +83,6 @@ class ViSolution:
     active_control: bool | np.ndarray  # flag, or per-element -1/0/+1 (lower/in/upper)
     iterations: int
     case: str
-    schur_condition: float = np.nan
 
 
 def _symmetric_splu(M):
@@ -158,12 +157,10 @@ class SpdSolver:
 def _schur(x0, Y, R, targets):
     """Pin ``R x = targets`` given ``x0 = A^{-1} b`` and ``Y = A^{-1} R'``.
 
-    Returns (x, multipliers, condition of the Schur complement).  One
-    correction step with the same ``Y`` and Schur complement brings the
-    pinned rows back to rounding level.
+    Returns (x, multipliers).  One correction step with the same ``Y`` and
+    Schur complement brings the pinned rows back to rounding level.
     """
     S = np.asarray(R @ Y)
-    cond = float(np.linalg.cond(S))
     x, nu = x0, np.zeros(len(targets))
     for _ in range(2):
         try:
@@ -174,21 +171,21 @@ def _schur(x0, Y, R, targets):
         if not np.all(np.isfinite(dnu)):
             raise SolverError("singular Schur complement: dependent active rows")
         x, nu = x + Y @ dnu, nu + dnu
-    return x, nu, cond
+    return x, nu
 
 
 def solve_equality_qp(A, b, rows, targets, solver=None):
     """Minimize 1/2 x'Ax - b'x subject to rows @ x = targets.
 
     ``rows`` is a (k, n) array or sparse matrix of linearly independent
-    functionals.  Returns (x, multipliers, schur_condition) with the
-    stationarity convention ``A x - b - rows' @ multipliers = 0``.
+    functionals.  Returns (x, multipliers) with the stationarity convention
+    ``A x - b - rows' @ multipliers = 0``.
     """
     targets = np.asarray(targets, dtype=float)
     k = 0 if rows is None else (rows.shape[0] if sp.issparse(rows)
                                 else len(rows))
     if k == 0:
-        return (solver or SpdSolver(A)).solve(b), np.zeros(0), np.nan
+        return (solver or SpdSolver(A)).solve(b), np.zeros(0)
 
     R = rows if sp.issparse(rows) else sp.csr_matrix(np.atleast_2d(rows))
     if k <= SCHUR_ROW_LIMIT:
@@ -204,7 +201,7 @@ def solve_equality_qp(A, b, rows, targets, solver=None):
         raise SolverError("saddle factorization failed (dependent active "
                           "rows?)") from exc
     sol = _refine(K, lu.solve, np.concatenate([b, targets]))
-    return sol[:n], -sol[n:], np.nan
+    return sol[:n], -sol[n:]
 
 
 def _load_scale(b):
@@ -238,10 +235,10 @@ def solve_case_i(A, b, constraints: ConstraintSet):
     for tried, active in enumerate(candidates, start=1):
         pinned = list(active)
         nu = np.zeros(2)
-        x, cond = x0, np.nan
+        x = x0
         if pinned:
-            x, nu[pinned], cond = _schur(x0, Y[:, pinned], rows[pinned],
-                                         bounds[pinned])
+            x, nu[pinned] = _schur(x0, Y[:, pinned], rows[pinned],
+                                   bounds[pinned])
         if np.any(nu < -sign_tol):
             continue
         free = [i for i in range(2) if i not in active]
@@ -253,7 +250,7 @@ def solve_case_i(A, b, constraints: ConstraintSet):
             coefficients=x, mu=max(float(nu[0]), 0.0),
             lam=max(float(nu[1]), 0.0),
             active_state=0 in active, active_control=1 in active,
-            iterations=tried, case="integral", schur_condition=cond)
+            iterations=tried, case="integral")
     raise SolverError("no active-set candidate is feasible with correctly "
                       "signed multipliers (Slater violation or bad data)")
 
@@ -287,7 +284,7 @@ def solve_case_ii(A, b, constraints: ConstraintSet, guess=None):
         except SolverError as exc:
             last_error = exc
             continue
-        x, mu, lam, act, iters, cond = result
+        x, mu, lam, act, iters = result
         if state_active and mu < -sign_tol:
             last_error = SolverError("state-active branch produced mu < 0")
             continue
@@ -297,7 +294,7 @@ def solve_case_ii(A, b, constraints: ConstraintSet, guess=None):
         return ViSolution(
             coefficients=x, mu=max(mu, 0.0), lam=lam,
             active_state=state_active, active_control=act,
-            iterations=iters, case="box", schur_condition=cond)
+            iterations=iters, case="box")
     raise SolverError(f"primal-dual active set failed on both state branches: "
                       f"{last_error}")
 
@@ -314,7 +311,6 @@ def _pdas(A, b, constraints, spd, state_active, areas, guess):
     act_lo = guess == -1
     act_up = guess == 1
     seen = set()
-    cond = np.nan
     for it in range(1, PDAS_MAX_ITERATIONS + 1):
         ids_lo = np.flatnonzero(act_lo)
         ids_up = np.flatnonzero(act_up)
@@ -331,7 +327,7 @@ def _pdas(A, b, constraints, spd, state_active, areas, guess):
             targets.extend(upper[ids_up])
         R = sp.vstack(blocks, format="csr") if blocks else None
         solver = spd() if len(targets) <= SCHUR_ROW_LIMIT else None
-        x, nu, cond = solve_equality_qp(A, b, R, targets, solver)
+        x, nu = solve_equality_qp(A, b, R, targets, solver)
 
         mu = 0.0
         off = 0
@@ -354,7 +350,7 @@ def _pdas(A, b, constraints, spd, state_active, areas, guess):
             act = np.zeros(nt, dtype=np.int64)
             act[act_lo] = -1
             act[act_up] = 1
-            return x, mu, lam, act, it, cond
+            return x, mu, lam, act, it
         sig = (new_lo.tobytes(), new_up.tobytes())
         if sig in seen:
             raise SolverError("primal-dual active set is cycling "

@@ -162,20 +162,35 @@ def local_coeffs(dofmap, u, t):
     return np.array([0.0 if d < 0 else u[d] for d in cd])
 
 
-def eval_function_einsum(dofmap, u, bary, elems=None):
+def eval_function_einsum(dofmap, u, bary):
     """Reference for ``DofMap.eval_function``: the same (value, gradient,
     hessian), each written as one einsum over coefficients, primitive
     derivatives and element gradients together (the package's basis
     conventions, a different contraction order)."""
-    a = dofmap.prim_coefficients(u, elems)
-    G = dofmap.mesh.grad_lambda if elems is None else dofmap.mesh.grad_lambda[elems]
+    a = dofmap.prim_coefficients(u)
+    G = dofmap.mesh.grad_lambda
     bary = np.asarray(bary, dtype=float)
     P, dP, d2P = prim_values(bary), prim_dlam(bary), prim_d2lam(bary)
-    q = "q" if elems is None else "tq"
-    val = np.einsum(f"ti,{q}i->tq", a, P)
-    grad = np.einsum(f"ti,{q}ik,tkx->tqx", a, dP, G, optimize=True)
-    hess = np.einsum(f"ti,{q}ikl,tkx,tly->tqxy", a, d2P, G, G, optimize=True)
+    val = np.einsum("ti,qi->tq", a, P)
+    grad = np.einsum("ti,qik,tkx->tqx", a, dP, G, optimize=True)
+    hess = np.einsum("ti,qikl,tkx,tly->tqxy", a, d2P, G, G, optimize=True)
     return val, grad, hess
+
+
+def barycentric(mesh, elems, points):
+    """Barycentric coordinates of physical ``points`` inside ``elems``.
+
+    ``elems`` is (m,) and ``points`` is (m, 2) or (m, q, 2); the result
+    appends a coordinate axis of size 3.  Solves ``[x; y; 1] = T lam`` with
+    the vertex matrix ``T`` of each element.
+    """
+    p = mesh.vertices[mesh.elements[np.asarray(elems, dtype=np.int64)]]
+    T = np.concatenate([np.swapaxes(p, 1, 2), np.ones((len(p), 1, 3))], axis=1)
+    points = np.asarray(points, dtype=float)
+    rhs = np.concatenate([points, np.ones(points.shape[:-1] + (1,))], axis=-1)
+    if points.ndim == 3:
+        T = T[:, None]
+    return np.linalg.solve(T, rhs[..., None])[..., 0]
 
 
 def assemble_dense(mesh, dofmap, beta, nquad=8):
@@ -201,7 +216,11 @@ def assemble_dense(mesh, dofmap, beta, nquad=8):
 
 
 def estimator_terms(mesh, dofmap, u, mu, lam_elem, problem, nquad=8):
-    """All five squared estimator totals by direct quadrature."""
+    """Squared estimator terms by direct quadrature.
+
+    Returns the five totals (eta1^2, ..., eta5^2) and a (3, n_edges) array
+    of the per-edge eta2^2, eta3^2 and eta4^2 (zero on boundary edges).
+    """
     beta = problem.beta
     eta1 = eta5 = 0.0
     els = [OracleElement(mesh, t, nquad) for t in range(mesh.n_elements)]
@@ -217,7 +236,7 @@ def estimator_terms(mesh, dofmap, u, mu, lam_elem, problem, nquad=8):
         h = mesh.h_elements[t]
         eta1 += h**4 / beta * acc
         eta5 += h**2 / beta * lam_elem[t]**2 * mesh.areas[t]
-    eta2 = eta3 = eta4 = 0.0
+    edge_terms = np.zeros((3, mesh.n_edges))
     for e in range(mesh.n_edges):
         plus, minus = mesh.edge_elements[e]
         if minus < 0:
@@ -234,14 +253,15 @@ def estimator_terms(mesh, dofmap, u, mu, lam_elem, problem, nquad=8):
             hj = els[plus].function_hess(cp, q) - els[minus].function_hess(cm, q)
             j2 += wq * (gj @ nrm) ** 2
             j3 += wq * (nrm @ hj @ nrm) ** 2
-        eta2 += beta / h * j2
-        eta3 += beta * h * j3
+        edge_terms[0, e] = beta / h * j2
+        edge_terms[1, e] = beta * h * j3
         # d(Delta w)/dn is constant per element: the local Laplacian is
         # affine, so fitting it at the three vertices is exact
         gl_p = _affine_gradient(els[plus], cp)
         gl_m = _affine_gradient(els[minus], cm)
-        eta4 += beta * h**3 * h * ((gl_p - gl_m) @ nrm) ** 2
-    return eta1, eta2, eta3, eta4, eta5
+        edge_terms[2, e] = beta * h**3 * h * ((gl_p - gl_m) @ nrm) ** 2
+    eta2, eta3, eta4 = edge_terms.sum(axis=1)
+    return (eta1, eta2, eta3, eta4, eta5), edge_terms
 
 
 def _affine_gradient(el, coeffs_local):

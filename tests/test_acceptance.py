@@ -144,7 +144,7 @@ def test_criterion_4b_estimator_oracle():
         e1, e5 = eta_interior(dm, u, mu, lam, prob)
         e2, e3, e4 = eta_edges(dm, u, prob.beta)
         got = np.array([e1.sum(), e2.sum(), e3.sum(), e4.sum(), e5.sum()])
-        want = np.array(estimator_terms(mesh, dm, u, mu, lam, prob))
+        want = np.array(estimator_terms(mesh, dm, u, mu, lam, prob)[0])
         worst = max(worst, float(np.abs(got - want).max() / np.abs(want).max()))
     report("4b", worst < 1e-12,
            f"eta terms vs brute-force quadrature on 10 random meshes: "
@@ -172,13 +172,16 @@ def test_criterion_4c_case_i_oracles():
 
 def test_criterion_4d_case_ii_oracle():
     worst = 0.0
-    for k, (lo, hi, d3) in enumerate([(-3.0, 3.0, -100.0),
-                                      (0.0, 4.0, -100.0),
-                                      (-6.0, 6.0, 0.12)]):
+    # the tilted y_d makes the boxes bind on both sides, at a zero lower
+    # edge, and together with the state row
+    for k, (lo, hi, d3) in enumerate([(-2.0, 3.0, -100.0),
+                                      (0.0, 2.0, -100.0),
+                                      (-2.0, 3.0, 0.3)]):
         mesh = initial_mesh(0.0, 1.0, 1)
         prob = ProblemSpec(
             name="box", domain=(0.0, 0.0, 1.0, 1.0), beta=1.0,
-            y_d=lambda x, y: 20.0 * np.sin(np.pi * x) * np.sin(np.pi * y),
+            y_d=lambda x, y: (20.0 * np.sin(np.pi * x) * np.sin(np.pi * y)
+                              + 400.0 * (x - 0.5)),
             f=None, f_laplacian=None, case="box", delta3=d3,
             u_a=lambda x, y, lo=lo: np.full_like(np.asarray(x, float), lo),
             u_b=lambda x, y, hi=hi: np.full_like(np.asarray(x, float), hi))
@@ -186,6 +189,8 @@ def test_criterion_4d_case_ii_oracle():
         A, b = assemble_system(dm, prob)
         cons = assemble_constraints(dm, prob)
         sol = solve_vi(A, b, cons)
+        assert sol.active_state == (d3 > 0)
+        assert list(sol.active_control) == [0, 1, 0, -1]
         x_ref, mu_ref, lam_ref = exhaustive_box_solve(
             A.toarray(), b, cons.state_row,
             cons.state_bound, cons.element_rows, cons.lower, cons.upper)

@@ -2,20 +2,19 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from morley_ocp.element import (DofMap, ElementError, edge_rule, integrate,
-                                triangle_rule, bary_monomial_integral)
+from morley_ocp.element import (DofMap, ElementError, _edge_bary, edge_rule,
+                                integrate, triangle_rule, bary_monomial_integral)
 from morley_ocp.mesh import initial_mesh, uniform_refine
 
 from conftest import random_mesh
-from oracles import eval_function_einsum, interpolate, tri_quad
+from oracles import barycentric, eval_function_einsum, interpolate, tri_quad
 
 
 def evaluate(dm, u, element, bary):
     """(value, gradient, hessian) of coefficients ``u`` at one barycentric
     point."""
-    val, grad, hess = dm.eval_function(
-        u, np.reshape(bary, (1, 1, 3)), np.array([element]))
-    return float(val[0, 0]), grad[0, 0], hess[0, 0]
+    val, grad, hess = dm.eval_function(u, np.reshape(bary, (1, 3)))
+    return float(val[element, 0]), grad[element, 0], hess[element, 0]
 
 
 # -- quadrature --------------------------------------------------------
@@ -109,8 +108,8 @@ def test_hessian_matches_fd_of_gradient():
     h = 1e-6
     _, _, H = evaluate(dm, u, t, lam0)
     for d, e in ((0, np.array([h, 0.0])), (1, np.array([0.0, h]))):
-        bp = mesh.barycentric(np.array([t]), (x0 + e)[None, :])[0]
-        bm = mesh.barycentric(np.array([t]), (x0 - e)[None, :])[0]
+        bp = barycentric(mesh, [t], (x0 + e)[None, :])[0]
+        bm = barycentric(mesh, [t], (x0 - e)[None, :])[0]
         _, gp, _ = evaluate(dm, u, t, bp)
         _, gm, _ = evaluate(dm, u, t, bm)
         fd = (gp - gm) / (2 * h)
@@ -127,21 +126,13 @@ def test_eval_function_matches_einsum_formula():
             assert g.shape == r.shape
             assert np.abs(g - r).max() <= 1e-13 * np.abs(r).max()
 
-    # shared points: the degree-8 rule on every element
-    bary = triangle_rule(8).points
-    assert_close(dm.eval_function(u, bary), eval_function_einsum(dm, u, bary))
-
-    # per-element points: Gauss points of each interior edge, seen from
-    # both neighbours
-    ids = np.flatnonzero(mesh.interior_edges)
-    a, b = (mesh.vertices[mesh.edges[ids, k]] for k in (0, 1))
-    s = edge_rule(5).points
-    pts = a[:, None, :] + s[None, :, None] * (b - a)[:, None, :]
-    for side in (0, 1):
-        elems = mesh.edge_elements[ids, side]
-        bary = mesh.barycentric(elems, pts)
-        assert_close(dm.eval_function(u, bary, elems),
-                     eval_function_einsum(dm, u, bary, elems))
+    # the degree-8 rule, and the Gauss points of the three local edges
+    # (the estimator's jump terms)
+    edge_points = np.concatenate([_edge_bary(k, edge_rule(5).points)
+                                  for k in range(3)])
+    for bary in (triangle_rule(8).points, edge_points):
+        assert_close(dm.eval_function(u, bary),
+                     eval_function_einsum(dm, u, bary))
 
 
 # -- interpolation -----------------------------------------------------
@@ -189,8 +180,8 @@ def test_interpolate_reproduces_quadratic(unit_cross):
     for t in range(unit_cross.n_elements):
         lam = rng.dirichlet([1, 1, 1], size=4)
         xy = lam @ unit_cross.vertices[unit_cross.elements[t]]
-        vals, _, _ = dm.eval_function(u, lam[None].repeat(1, 0)[0][None, :, :], np.array([t]))
-        assert np.allclose(vals[0], q(xy[:, 0], xy[:, 1]), atol=1e-12)
+        vals, _, _ = dm.eval_function(u, lam)
+        assert np.allclose(vals[t], q(xy[:, 0], xy[:, 1]), atol=1e-12)
 
 
 @pytest.mark.parametrize("case", range(len(SMOOTH_FIELDS)))
@@ -227,14 +218,13 @@ def test_nonconformity_is_real():
     n = mesh.edge_normals[e]
     rule = edge_rule(5)
     pts = a[None] + rule.points[:, None] * (b - a)[None]
-    bp = mesh.barycentric(np.full(len(pts), plus), pts)
-    bm = mesh.barycentric(np.full(len(pts), minus), pts)
-    _, gp, _ = dm.eval_function(u, bp[None][0][None, :, :], np.array([plus]))
-    _, gm, _ = dm.eval_function(u, bm[None][0][None, :, :], np.array([minus]))
-    jump_n = ((gp - gm)[0] @ n)
+    gp = dm.eval_function(u, barycentric(mesh, np.full(len(pts), plus), pts))[1]
+    gm = dm.eval_function(u, barycentric(mesh, np.full(len(pts), minus), pts))[1]
+    jump = gp[plus] - gm[minus]
+    jump_n = jump @ n
     assert abs(jump_n @ rule.weights) < 1e-12          # mean forced by the DOF
     t = np.array([-n[1], n[0]])
-    jump_t = ((gp - gm)[0] @ t)
+    jump_t = jump @ t
     assert np.abs(jump_t).max() > 1e-3                 # tangential jump persists
 
 

@@ -78,8 +78,8 @@ def test_interpolated_quadratic_edge_terms_match_oracle(unit_cross):
                         axis=-1))
     prob = poly_problem()
     lam = np.zeros(unit_cross.n_elements)
-    o1, o2, o3, o4, o5 = estimator_terms(unit_cross, dm, u,
-                                         0.0, lam, prob)
+    (o1, o2, o3, o4, o5), _ = estimator_terms(unit_cross, dm, u,
+                                              0.0, lam, prob)
     e2, e3, e4 = eta_edges(dm, u, prob.beta)
     assert e2.sum() == pytest.approx(o2, rel=1e-12, abs=1e-13)
     assert e3.sum() == pytest.approx(o3, rel=1e-12, abs=1e-13)
@@ -96,7 +96,8 @@ def test_bubble_on_one_element_eta4(split_square_mesh):
     beta = 2.0
     e2, e3, e4 = eta_edges(dm, u, beta)
     prob = poly_problem(beta=beta)
-    o1, o2, o3, o4, o5 = estimator_terms(m, dm, u, 0.0, np.zeros(2), prob)
+    (o1, o2, o3, o4, o5), _ = estimator_terms(m, dm, u, 0.0, np.zeros(2),
+                                              prob)
     ids = np.flatnonzero(m.interior_edges)
     assert len(ids) == 1
     assert e4[ids[0]] == pytest.approx(o4, rel=1e-12)
@@ -116,12 +117,15 @@ def test_all_terms_match_bruteforce_oracle(seed):
     prob = poly_problem(beta=[1.0, 0.25, 3.0][seed])
     e1, e5 = eta_interior(dm, u, mu, lam, prob)
     e2, e3, e4 = eta_edges(dm, u, prob.beta)
-    o1, o2, o3, o4, o5 = estimator_terms(mesh, dm, u, mu, lam, prob)
+    (o1, o2, o3, o4, o5), o_edges = estimator_terms(mesh, dm, u, mu, lam, prob)
     assert e1.sum() == pytest.approx(o1, rel=1e-12)
     assert e2.sum() == pytest.approx(o2, rel=1e-12)
     assert e3.sum() == pytest.approx(o3, rel=1e-12)
     assert e4.sum() == pytest.approx(o4, rel=1e-12)
     assert e5.sum() == pytest.approx(o5, rel=1e-12)
+    # edge by edge: each jump pairs the two traces at the same points
+    for got, want in zip((e2, e3, e4), o_edges):
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def test_estimate_totals_bookkeeping(unit_cross):

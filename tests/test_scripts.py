@@ -45,6 +45,10 @@ def test_perfbench_trace_covers_every_layer():
     assert res.returncode == 0, res.stdout[-3000:] + res.stderr
     summary = json.loads(res.stdout.strip().splitlines()[-1])
     assert summary["correct"] is True
+    metrics = {k: v["value"] for k, v in summary["metrics"].items()}
     # PDAS started from empty sets on every level takes 25 iterations on
     # this study; the warm start from the parent mesh's sets takes 17
-    assert summary["metrics"]["vi_solver.iterations"]["value"] < 25
+    assert metrics["vi_solver.iterations"] < 25
+    # the estimator evaluates y_h once per level, on points shared by all
+    # elements
+    assert metrics["element.eval_calls"] == metrics["adaptive.iterations"]

@@ -71,7 +71,7 @@ def test_pdas_iteration_cap_raises(monkeypatch):
 
 def test_equality_qp_no_rows(unit_cross):
     dm, A, b, cons = setup_case_i(manufactured(0), unit_cross)
-    x, nu, _ = solve_equality_qp(A, b, None, [])
+    x, nu = solve_equality_qp(A, b, None, [])
     assert len(nu) == 0
     assert np.linalg.norm(A @ x - b, np.inf) < 1e-9 * np.abs(b).max()
 
@@ -79,18 +79,17 @@ def test_equality_qp_no_rows(unit_cross):
 def test_equality_qp_single_row(unit_cross):
     dm, A, b, cons = setup_case_i(manufactured(0), unit_cross)
     t = 0.123
-    x, nu, cond = solve_equality_qp(A, b, cons.state_row[None, :], [t])
+    x, nu = solve_equality_qp(A, b, cons.state_row[None, :], [t])
     assert cons.state_row @ x == pytest.approx(t, abs=1e-10)
     r = A @ x - b - nu[0] * cons.state_row
     assert np.abs(r).max() < 1e-10 * max(1, np.abs(b).max())
-    assert np.isfinite(cond)
 
 
 def test_equality_qp_two_rows(unit_cross):
     dm, A, b, cons = setup_case_i(manufactured(0), unit_cross)
     rows = np.vstack([cons.state_row, cons.control_row])
     targets = [0.05, 1.5]
-    x, nu, _ = solve_equality_qp(A, b, rows, targets)
+    x, nu = solve_equality_qp(A, b, rows, targets)
     assert cons.state_row @ x == pytest.approx(0.05, abs=1e-10)
     assert cons.control_row @ x == pytest.approx(1.5, abs=1e-9)
     r = A @ x - b - rows.T @ nu
@@ -118,15 +117,20 @@ def _ex4_pinned_case():
 
 def test_equality_qp_saddle_path_matches_schur(monkeypatch):
     import morley_ocp.vi_solver as vs
+    # only the Schur route factors A on its own
+    built = []
+    spd = vs.SpdSolver
+    monkeypatch.setattr(vs, "SpdSolver", lambda A: built.append(A) or spd(A))
     for case in (_two_row_case, _ex4_pinned_case):
         A, b, R, targets = case()
         k = R.shape[0]
+        built.clear()
         monkeypatch.setattr(vs, "SCHUR_ROW_LIMIT", k)
-        x1, nu1, cond = solve_equality_qp(A, b, R, targets)
-        assert np.isfinite(cond)
+        x1, nu1 = solve_equality_qp(A, b, R, targets)
+        assert len(built) == 1
         monkeypatch.setattr(vs, "SCHUR_ROW_LIMIT", k - 1)
-        x2, nu2, cond2 = solve_equality_qp(A, b, R, targets)
-        assert np.isnan(cond2)
+        x2, nu2 = solve_equality_qp(A, b, R, targets)
+        assert len(built) == 1
         assert np.allclose(x1, x2, atol=1e-9)
         assert np.allclose(nu1, nu2, atol=1e-9)
         # the refined saddle answer satisfies the true KKT system
@@ -227,10 +231,13 @@ def test_case_i_infeasible_data_raises(unit_cross):
 
 # -- box case (PDAS) ------------------------------------------------------
 
-def box_problem(lo=-50.0, hi=50.0, delta3=-100.0, beta=1.0):
+def box_problem(lo=-50.0, hi=50.0, delta3=-100.0, beta=1.0, tilt=0.0):
+    # with tilt 400 the unconstrained element averages on the 4-element
+    # criss-cross are 1.60 / 7.69 / 1.60 / -4.49 and the state mean 0.219
     return ProblemSpec(
         name="box-test", domain=(0.0, 0.0, 1.0, 1.0), beta=beta,
-        y_d=lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y) * 20.0,
+        y_d=lambda x, y: (np.sin(np.pi * x) * np.sin(np.pi * y) * 20.0
+                          + tilt * (x - 0.5)),
         f=None, f_laplacian=None, case="box", delta3=delta3,
         u_a=lambda x, y: np.full_like(np.asarray(x, float), lo),
         u_b=lambda x, y: np.full_like(np.asarray(x, float), hi))
@@ -265,16 +272,22 @@ def test_case_ii_example4_certificate():
 
 
 @pytest.mark.parametrize("cfg", [
-    dict(lo=-3.0, hi=3.0, delta3=-100.0),   # boxes bind on both sides
-    dict(lo=0.0, hi=4.0, delta3=-100.0),    # lower edge at zero
-    dict(lo=-6.0, hi=6.0, delta3=0.12),     # state row binds as well
+    # boxes bind on both sides
+    (dict(lo=-2.0, hi=3.0, delta3=-100.0), False, [0, 1, 0, -1]),
+    # the lower edge sits at zero
+    (dict(lo=0.0, hi=2.0, delta3=-100.0), False, [0, 1, 0, -1]),
+    # the state row binds as well
+    (dict(lo=-2.0, hi=3.0, delta3=0.3), True, [0, 1, 0, -1]),
 ])
 def test_case_ii_matches_exhaustive_enumeration(unit_cross, cfg):
-    prob = box_problem(**cfg)
+    box, state, pattern = cfg
+    prob = box_problem(**box, tilt=400.0)
     dm = DofMap(unit_cross)
     A, b = assemble_system(dm, prob)
     cons = assemble_constraints(dm, prob)
     sol = solve_case_ii(A, b, cons)
+    assert sol.active_state == state
+    np.testing.assert_array_equal(sol.active_control, pattern)
     x_ref, mu_ref, lam_ref = exhaustive_box_solve(
         A.toarray(), b, cons.state_row, cons.state_bound,
         cons.element_rows, cons.lower, cons.upper)
@@ -291,11 +304,15 @@ def test_case_ii_eight_element_enumeration():
     mesh = initial_mesh(0.0, 1.0, 1)
     mesh = bisect(mesh, range(mesh.n_elements))
     assert mesh.n_elements == 8
-    prob = box_problem(lo=-4.0, hi=4.0, delta3=-100.0)
+    prob = box_problem(lo=-2.0, hi=3.0, delta3=-100.0, tilt=400.0)
     dm = DofMap(mesh)
     A, b = assemble_system(dm, prob)
     cons = assemble_constraints(dm, prob)
     sol = solve_case_ii(A, b, cons)
+    # both boxes bind, on every element
+    assert not sol.active_state
+    np.testing.assert_array_equal(sol.active_control,
+                                  [-1, 1, 1, 1, 1, -1, -1, -1])
     x_ref, mu_ref, lam_ref = exhaustive_box_solve(
         A.toarray(), b, cons.state_row, cons.state_bound,
         cons.element_rows, cons.lower, cons.upper)
