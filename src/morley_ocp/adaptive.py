@@ -161,8 +161,8 @@ def solve_on_mesh(problem, mesh, guess=None):
 def adaptive_solve(problem, adapt=None):
     """Run the adaptive loop until the DOF budget or MAX_ITERATIONS.
 
-    Returns an AdaptiveRun; solver failures raise AdaptiveError naming the
-    iteration.
+    Returns an AdaptiveRun; solver failures and running out of memory
+    raise AdaptiveError naming the iteration.
     """
     adapt = adapt or AdaptConfig()
     lo, hi = problem.square
@@ -178,6 +178,9 @@ def adaptive_solve(problem, adapt=None):
                 problem, mesh, guess)
         except SolverError as exc:
             raise AdaptiveError(str(exc), it) from exc
+        except MemoryError as exc:
+            raise AdaptiveError(f"out of memory on {mesh.n_elements} "
+                                "elements", it) from exc
         wall_ms = 1000.0 * (time.perf_counter() - t0)
 
         etas = breakdown.etas

@@ -34,21 +34,10 @@ def _cell(v):
     return str(v)
 
 
-def _record_rows(records, deterministic):
-    rows = []
-    for r in records:
-        d = dict(r.to_dict()) if hasattr(r, "to_dict") else dict(r)
-        if deterministic:
-            d["wall_ms"] = 0.0
-        rows.append({
-            "iter": d["iteration"], "dofs": d["dofs"], "eta_h": d["eta_h"],
-            "eta1": d["eta1"], "eta2": d["eta2"], "eta3": d["eta3"],
-            "eta4": d["eta4"], "eta5": d["eta5"],
-            "energy_error": d["energy_error"], "l2_error": d["l2_error"],
-            "eff_index": d["eff_index"], "mu_h": d["mu_h"],
-            "lambda_summary": d["lambda_summary"], "wall_ms": d["wall_ms"],
-        })
-    return rows
+def _record_rows(records):
+    """CSV rows of record dicts: the CSV_COLUMNS fields, ``iter`` renamed."""
+    return [{c: d["iteration" if c == "iter" else c] for c in CSV_COLUMNS}
+            for d in records]
 
 
 def _write_csv(path, rows, columns):
@@ -203,7 +192,9 @@ def run_solve(args):
                + ("-uniform" if args.uniform else ""))
     out.mkdir(parents=True, exist_ok=True)
     det = deterministic_mode()
-    rows = _record_rows(run.records, det)
+    records = [dict(r.to_dict(), wall_ms=0.0) if det else r.to_dict()
+               for r in run.records]
+    rows = _record_rows(records)
     _write_csv(out / "convergence.csv", rows, CSV_COLUMNS)
 
     payload = {
@@ -214,8 +205,7 @@ def run_solve(args):
             "uniform": args.uniform, "subdivisions": args.subdivisions,
             "deterministic": det,
         },
-        "records": [dict(r.to_dict(), wall_ms=0.0) if det else r.to_dict()
-                    for r in run.records],
+        "records": records,
     }
     (out / "run.json").write_text(json.dumps(payload, indent=1) + "\n",
                                   encoding="utf-8")

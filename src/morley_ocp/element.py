@@ -203,9 +203,8 @@ class DofMap:
         self.cell_dofs[:, 3:6] = self.edge_dof[mesh.elem_edges]
         self.cell_dofs[:, 6] = self.bubble_dof
 
-        self.D = self._dof_matrices()
         try:
-            self.C = np.linalg.inv(self.D)
+            self.C = np.linalg.inv(self._dof_matrices())
         except np.linalg.LinAlgError as exc:
             raise ElementError("singular local DOF system (degenerate "
                                "triangle)") from exc

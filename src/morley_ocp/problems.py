@@ -2,9 +2,10 @@
 
 Each problem provides closed-form data closures (vectorized over numpy
 arrays): the target state ``y_d``, the source ``f`` with its analytic
-Laplacian, the constraint data, and optionally the exact solution with
-derivatives.  Four named problems (ex1..ex4) plus seeded manufactured
-problems for solver tests.
+Laplacian, the constraint data, and optionally the exact solution (value,
+gradient, Hessian).  Four named problems (ex1..ex4) plus seeded
+manufactured problems; ex1..ex3 and the manufactured problems are built
+from one sine-series builder.
 """
 
 from __future__ import annotations
@@ -25,12 +26,11 @@ class ProblemError(Exception):
 
 @dataclass
 class ExactSolution:
-    """Closed-form reference solution with derivatives."""
+    """Closed-form reference state with its derivatives."""
 
     value: Field2
     gradient: Field2                 # returns (..., 2)
     hessian: Field2                  # returns (..., 2, 2)
-    control: Optional[Field2] = None
 
 
 @dataclass
@@ -56,7 +56,7 @@ class ProblemSpec:
     u_a: Optional[Field2] = None
     u_b: Optional[Field2] = None
     exact: Optional[ExactSolution] = None
-    multipliers: dict = field(default_factory=dict)
+    multipliers: dict = field(default_factory=dict)   # manufactured only
 
     def __post_init__(self):
         if not (np.isfinite(self.beta) and self.beta > 0):
@@ -101,120 +101,60 @@ def _example1():
     # stationarity identity with mu = 0.4 at a state bound of 0, so with
     # the bound -0.4 the reference is a near-solution rather than the
     # exact optimum.
-    c = 3.0 / 8.0
-
-    def s1(x, y):
-        return np.sin(2 * PI * x) * np.sin(2 * PI * y)
-
-    def s2(x, y):
-        return np.sin(2 * PI * x) * np.sin(4 * PI * y)
-
-    def p(x, y):
-        return s1(x, y) + c * s2(x, y)
-
-    def lap_p(x, y):
-        return -8 * PI**2 * s1(x, y) - c * 20 * PI**2 * s2(x, y)
-
-    def bilap_p(x, y):
-        return 64 * PI**4 * s1(x, y) + c * 400 * PI**4 * s2(x, y)
-
-    def grad_p(x, y):
-        gx = 2 * PI * np.cos(2 * PI * x) * (np.sin(2 * PI * y)
-                                            + c * np.sin(4 * PI * y))
-        gy = (2 * PI * np.sin(2 * PI * x) * np.cos(2 * PI * y)
-              + c * 4 * PI * np.sin(2 * PI * x) * np.cos(4 * PI * y))
-        return np.stack([gx, gy], axis=-1)
-
-    def hess_p(x, y):
-        hxx = -4 * PI**2 * (s1(x, y) + c * s2(x, y))
-        hxy = (4 * PI**2 * np.cos(2 * PI * x) * np.cos(2 * PI * y)
-               + c * 8 * PI**2 * np.cos(2 * PI * x) * np.cos(4 * PI * y))
-        hyy = -4 * PI**2 * s1(x, y) - c * 16 * PI**2 * s2(x, y)
-        return _sym2(hxx, hxy, hyy)
-
+    p, grad_p, hess_p, lap_p, bilap_p = _sine_series([(2, 2), (2, 4)],
+                                                     [1.0, 3.0 / 8.0])
     return ProblemSpec(
         name="ex1",
         domain=(0.0, 0.0, 1.0, 1.0),
         beta=1.0,
         y_d=lambda x, y: p(x, y) + lap_p(x, y) - 0.4,
-        f=lambda x, y: -lap_p(x, y) + p(x, y),
-        f_laplacian=lambda x, y: -bilap_p(x, y) + lap_p(x, y),
+        f=lambda x, y: p(x, y) - lap_p(x, y),
+        f_laplacian=lambda x, y: lap_p(x, y) - bilap_p(x, y),
         case="integral",
         delta1=0.0,
         delta2=-0.4,
-        exact=ExactSolution(p, grad_p, hess_p,
-                            control=lambda x, y: -p(x, y)),
+        exact=ExactSolution(p, grad_p, hess_p),
     )
 
 
 def _example2():
-    # p = sin(pi x) sin(pi y), y = 2 pi^2 p, y_d = 0, beta = 1; the control
-    # constraint is active with multiplier 4/pi^2, the state constraint is
-    # slack (control-only problem).  Purely integral control constraint:
-    # the state bound is set slack (-100, the reference state has mean 8)
-    # so the printed closed form is the exact optimum.
-    def s(x, y):
-        return np.sin(PI * x) * np.sin(PI * y)
-
-    def yv(x, y):
-        return 2 * PI**2 * s(x, y)
-
-    def grad_y(x, y):
-        return np.stack([2 * PI**3 * np.cos(PI * x) * np.sin(PI * y),
-                         2 * PI**3 * np.sin(PI * x) * np.cos(PI * y)], axis=-1)
-
-    def hess_y(x, y):
-        hxx = -2 * PI**4 * s(x, y)
-        hxy = 2 * PI**4 * np.cos(PI * x) * np.cos(PI * y)
-        return _sym2(hxx, hxy, hxx)
-
+    # s = sin(pi x) sin(pi y), state y = 2 pi^2 s, control u = 4/pi^2 - s,
+    # y_d = 0, beta = 1: the control constraint is active with multiplier
+    # 4/pi^2.  The state bound is set slack (-100; the reference state has
+    # mean 8), so the printed closed form is the exact optimum.
+    yv, grad_y, hess_y, _, _ = _sine_series([(1, 1)], [2 * PI**2])
+    s, _, _, _, bilap_s = _sine_series([(1, 1)], [1.0])
     return ProblemSpec(
         name="ex2",
         domain=(0.0, 0.0, 1.0, 1.0),
         beta=1.0,
         y_d=lambda x, y: np.zeros_like(np.asarray(x, dtype=float)),
-        f=lambda x, y: (4 * PI**4 + 1) * s(x, y) - 4 / PI**2,
-        f_laplacian=lambda x, y: -(4 * PI**4 + 1) * 2 * PI**2 * s(x, y),
+        f=lambda x, y: bilap_s(x, y) + s(x, y) - 4 / PI**2,
+        f_laplacian=lambda x, y: -2 * PI**2 * (bilap_s(x, y) + s(x, y)),
         case="integral",
         delta1=0.0,
         delta2=-100.0,
-        exact=ExactSolution(yv, grad_y, hess_y,
-                            control=lambda x, y: 4 / PI**2 - s(x, y)),
-        multipliers={"mu": 0.0, "lambda": 4 / PI**2},
+        exact=ExactSolution(yv, grad_y, hess_y),
     )
 
 
 def _example3():
-    # y = -sin(pi x) sin(pi y) / (2 pi^2) on (-1,1)^2; integral state and
-    # control constraints, both active, mu = 0.6, lambda = 0.
-    def s(x, y):
-        return np.sin(PI * x) * np.sin(PI * y)
-
-    def yv(x, y):
-        return -s(x, y) / (2 * PI**2)
-
-    def grad_y(x, y):
-        return np.stack([-np.cos(PI * x) * np.sin(PI * y) / (2 * PI),
-                         -np.sin(PI * x) * np.cos(PI * y) / (2 * PI)], axis=-1)
-
-    def hess_y(x, y):
-        hxx = 0.5 * s(x, y)
-        hxy = -0.5 * np.cos(PI * x) * np.cos(PI * y)
-        return _sym2(hxx, hxy, hxx)
-
+    # y = -sin(pi x) sin(pi y) / (2 pi^2), u = -sin(pi x) sin(pi y) on
+    # (-1,1)^2; integral state and control constraints, both active,
+    # mu = 0.6, lambda = 0.
+    yv, grad_y, hess_y, _, bilap_y = _sine_series([(1, 1)],
+                                                  [-1 / (2 * PI**2)])
     return ProblemSpec(
         name="ex3",
         domain=(-1.0, -1.0, 1.0, 1.0),
         beta=1.0,
-        y_d=lambda x, y: -(2 * PI**2 + 1 / (2 * PI**2)) * s(x, y) - 0.6,
+        y_d=lambda x, y: bilap_y(x, y) + yv(x, y) - 0.6,
         f=None,
         f_laplacian=None,
         case="integral",
         delta1=0.0,
         delta2=0.0,
-        exact=ExactSolution(yv, grad_y, hess_y,
-                            control=lambda x, y: -s(x, y)),
-        multipliers={"mu": 0.6, "lambda": 0.0},
+        exact=ExactSolution(yv, grad_y, hess_y),
     )
 
 
@@ -245,7 +185,8 @@ def _sym2(hxx, hxy, hyy):
 
 
 def _sine_series(modes, coeffs):
-    """Closures for sum_k a_k sin(i pi x) sin(j pi y) on the unit square."""
+    """Closures (value, gradient, Hessian, Laplacian, bi-Laplacian) of
+    sum_k a_k sin(i pi x) sin(j pi y) for modes (i, j) and coefficients a_k."""
     modes = [(int(i), int(j)) for i, j in modes]
     coeffs = [float(a) for a in coeffs]
 
@@ -302,7 +243,7 @@ def manufactured(seed, active_state=False):
     idx = rng.choice(len(pool), size=2, replace=False)
     modes = [pool[i] for i in idx]
     coeffs = rng.uniform(0.2, 0.8, size=2) * rng.choice([-1.0, 1.0], size=2)
-    value, gradient, hessian, laplacian, bilaplacian = _sine_series(modes, coeffs)
+    value, gradient, hessian, _, bilaplacian = _sine_series(modes, coeffs)
 
     beta = 1.0
     # active variant: the unconstrained minimizer undershoots the mean
@@ -328,7 +269,6 @@ def manufactured(seed, active_state=False):
         case="integral",
         delta1=float(mean_neg_lap) - 1.0e3,
         delta2=float(mean_y) if active_state else float(mean_y) - 10.0,
-        exact=ExactSolution(value, gradient, hessian,
-                            control=lambda x, y: -laplacian(x, y)),
+        exact=ExactSolution(value, gradient, hessian),
         multipliers={"mu": mu, "lambda": 0.0},
     )

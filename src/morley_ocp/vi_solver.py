@@ -304,6 +304,7 @@ def _pdas(A, b, constraints, spd, state_active, areas, guess):
     rows, lower, upper = (constraints.element_rows, constraints.lower,
                           constraints.upper)
     nt = rows.shape[0]
+    s_row = sp.csr_matrix(s)
     q_lo = lower / areas
     q_up = upper / areas
 
@@ -314,18 +315,11 @@ def _pdas(A, b, constraints, spd, state_active, areas, guess):
     for it in range(1, PDAS_MAX_ITERATIONS + 1):
         ids_lo = np.flatnonzero(act_lo)
         ids_up = np.flatnonzero(act_up)
-        pinned = sp.vstack([rows[ids_lo], rows[ids_up]], format="csr") \
-            if (len(ids_lo) + len(ids_up)) else None
-        blocks = []
-        targets = []
+        R = rows[np.r_[ids_lo, ids_up]]
+        targets = np.r_[lower[ids_lo], upper[ids_up]]
         if state_active:
-            blocks.append(sp.csr_matrix(s))
-            targets.append(ds)
-        if pinned is not None:
-            blocks.append(pinned)
-            targets.extend(lower[ids_lo])
-            targets.extend(upper[ids_up])
-        R = sp.vstack(blocks, format="csr") if blocks else None
+            R = sp.vstack([s_row, R], format="csr")
+            targets = np.r_[ds, targets]
         solver = spd() if len(targets) <= SCHUR_ROW_LIMIT else None
         x, nu = solve_equality_qp(A, b, R, targets, solver)
 

@@ -187,6 +187,28 @@ def test_solver_failure_names_the_iteration(monkeypatch, capsys, tmp_path):
     assert "solver failure: iteration 1" in capsys.readouterr().err
 
 
+def test_out_of_memory_is_a_solver_failure(monkeypatch, capsys, tmp_path):
+    # a MemoryError from the linear algebra must end as AdaptiveError, and
+    # `solve` as exit code 3, not as a traceback with exit code 1
+    import morley_ocp.adaptive as adaptive
+
+    def solve_vi(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(adaptive, "solve_vi", solve_vi)
+    with pytest.raises(AdaptiveError, match="out of memory on 4 elements") \
+            as info:
+        adaptive_solve(manufactured(0), AdaptConfig(initial_subdivisions=1))
+    assert info.value.iteration == 0
+
+    code = cli.run(["solve", "--problem", "manufactured", "--subdivisions",
+                    "1", "--out", str(tmp_path / "run")])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "solver failure: iteration 0: out of memory" in err
+    assert not (tmp_path / "run").exists()
+
+
 def test_nan_data_fail_the_first_iteration():
     # NaN data must not end as a normal study with eta_h = nan and a stop
     # on "all element indicators are zero"

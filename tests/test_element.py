@@ -69,7 +69,7 @@ def test_seven_dof_duality_identity():
     for seed in range(3):
         mesh = random_mesh(seed, max_elements=12)
         dm = DofMap(mesh)
-        I = np.einsum("tij,tjk->tik", dm.D, dm.C)
+        I = np.einsum("tij,tjk->tik", dm._dof_matrices(), dm.C)
         assert np.abs(I - np.eye(7)).max() < 1e-12
 
 

@@ -20,6 +20,37 @@ def _sample_points(problem, n, seed=0):
             y0 + (y1 - y0) * rng.uniform(0.05, 0.95, n))
 
 
+PI = np.pi
+
+
+# the reference states as printed in the paper, written out independently
+# of problems.py
+def _s(i, j, x, y):
+    return np.sin(i * PI * x) * np.sin(j * PI * y)
+
+
+def _p1(x, y):
+    return _s(2, 2, x, y) + 3 / 8 * _s(2, 4, x, y)
+
+
+PRINTED_STATES = {
+    1: _p1,
+    2: lambda x, y: 2 * PI**2 * _s(1, 1, x, y),
+    3: lambda x, y: -_s(1, 1, x, y) / (2 * PI**2),
+}
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_exact_state_is_the_printed_formula(k):
+    # the series closures must reproduce the paper's closed forms; a wrong
+    # mode or coefficient would otherwise stay self-consistent
+    p = example(k)
+    x, y = _sample_points(p, 200, seed=30 + k)
+    printed = PRINTED_STATES[k](x, y)
+    err = np.max(np.abs(p.exact.value(x, y) - printed))
+    assert err <= 1e-13 * np.max(np.abs(printed))
+
+
 def test_example1_data_verbatim():
     p = example(1)
     assert p.beta == 1.0
@@ -41,7 +72,7 @@ def test_example3_control_consistency():
     x, y = _sample_points(p, 20)
     h = p.exact.hessian(x, y)
     neg_lap = -(h[..., 0, 0] + h[..., 1, 1])
-    u = p.exact.control(x, y)
+    u = -_s(1, 1, x, y)                         # u* = -s
     assert np.allclose(neg_lap, u, atol=1e-10)
 
 
@@ -51,7 +82,7 @@ def test_example1_pde_consistency():
     x, y = _sample_points(p, 20, seed=1)
     h = p.exact.hessian(x, y)
     neg_lap = -(h[..., 0, 0] + h[..., 1, 1])
-    rhs = p.f(x, y) + p.exact.control(x, y)
+    rhs = p.f(x, y) - _p1(x, y)                 # u* = -p
     assert np.allclose(neg_lap, rhs, atol=1e-9)
 
 
@@ -60,7 +91,7 @@ def test_example2_pde_consistency_and_slack_state():
     x, y = _sample_points(p, 20, seed=2)
     h = p.exact.hessian(x, y)
     neg_lap = -(h[..., 0, 0] + h[..., 1, 1])
-    rhs = p.f(x, y) + p.exact.control(x, y)
+    rhs = p.f(x, y) + 4 / PI**2 - _s(1, 1, x, y)  # u* = 4/pi^2 - s
     assert np.allclose(neg_lap, rhs, atol=1e-8)
     # reference state has mean 8; the state bound stays slack
     assert p.delta2 < 8.0
