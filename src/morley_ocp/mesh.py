@@ -3,7 +3,10 @@
 A :class:`Mesh` is immutable once built: refinement returns a new mesh.
 Every element carries a refinement edge (the edge opposite its newest
 vertex); :func:`bisect` performs recursive compatible bisection so the
-result is always conforming.
+result is always conforming.  It finds neighbors in a per-element table
+made from the input mesh's ``edge_elements`` and updated locally by each
+split, so a call costs one pass over the arrays plus work proportional to
+the number of splits.
 
 Conventions
 -----------
@@ -24,6 +27,10 @@ from functools import cached_property
 import numpy as np
 
 CLOSURE_DEPTH_CAP = 64
+
+# local index of the next and the previous vertex, counter-clockwise
+_NEXT = (1, 2, 0)
+_PREV = (2, 0, 1)
 
 
 class MeshError(Exception):
@@ -72,7 +79,9 @@ class Mesh:
     # -- construction ------------------------------------------------
 
     def _build_topology(self):
-        nt = len(self.elements)
+        nt, nv = len(self.elements), len(self.vertices)
+        if nt and (self.elements.min() < 0 or self.elements.max() >= nv):
+            raise MeshError("element vertex id out of range")
         p = self.vertices[self.elements]
         area2 = _signed_area(p)
         if np.any(area2 <= 0):
@@ -82,7 +91,11 @@ class Mesh:
         e2 = self.elements[:, [0, 1]]
         all_edges = np.concatenate([e0, e1, e2])
         keys = np.sort(all_edges, axis=1)
-        uniq, inverse = np.unique(keys, axis=0, return_inverse=True)
+        # lo * nv + hi sorts like the pair (lo, hi), so the edges come out in
+        # lexicographic order
+        ukeys, inverse = np.unique(keys[:, 0] * nv + keys[:, 1],
+                                   return_inverse=True)
+        uniq = np.stack([ukeys // nv, ukeys % nv], axis=1)
         self.edges = uniq
         self.elem_edges = inverse.reshape(3, nt).T.copy()
 
@@ -243,99 +256,104 @@ def initial_mesh(lower, upper, subdivisions):
 def bisect(mesh, marked):
     """Bisect all ``marked`` elements, closing recursively for conformity.
 
-    Every marked element is bisected at least once; neighbors are bisected
-    first whenever the refinement edges disagree.  Returns a new mesh whose
+    ``marked`` holds integer element ids; they are bisected in ascending
+    order, each at least once, and a neighbor is bisected first whenever
+    its refinement edge differs from the shared edge.  Neighbors are
+    looked up in a table (``nbr[t][k]``: the element across local edge k
+    of t, -1 on the boundary) that each split updates locally.  Surviving
+    elements keep their order, children follow in creation order and
+    midpoints are appended as they are created.  Returns a new mesh whose
     ``parent`` maps each element to the element of ``mesh`` it lies in.
     """
-    marked = sorted(set(int(t) for t in marked))
-    if not marked:
+    marked = np.asarray(marked)
+    if marked.size == 0:
         return mesh
-    if marked and (marked[0] < 0 or marked[-1] >= mesh.n_elements):
+    if marked.dtype.kind not in "iu":
+        raise MeshError(f"marked ids must be integers, not {marked.dtype}")
+    marked = np.unique(marked)
+    if marked[0] < 0 or marked[-1] >= mesh.n_elements:
         raise MeshError("marked ids out of range")
 
-    verts = [tuple(v) for v in mesh.vertices]
-    tris = [list(t) for t in mesh.elements]
-    ref = list(mesh.refinement_edge)
-    origin = list(range(len(tris)))
-    alive = [True] * len(tris)
-    edge2elems = {}
-    for t, tri in enumerate(tris):
-        for k in range(3):
-            key = _ekey(tri[(k + 1) % 3], tri[(k + 2) % 3])
-            edge2elems.setdefault(key, set()).add(t)
-    midpoints = {}
-
-    def ref_key(t):
-        k = ref[t]
-        return _ekey(tris[t][(k + 1) % 3], tris[t][(k + 2) % 3])
-
-    def neighbor_across(t, key):
-        others = edge2elems.get(key, set()) - {t}
-        return next(iter(others)) if others else None
-
-    def midpoint(key):
-        m = midpoints.get(key)
-        if m is None:
-            a, b = key
-            verts.append(((verts[a][0] + verts[b][0]) / 2.0,
-                          (verts[a][1] + verts[b][1]) / 2.0))
-            m = len(verts) - 1
-            midpoints[key] = m
-        return m
+    nt, nv = mesh.n_elements, mesh.n_vertices
+    tris = mesh.elements.tolist()
+    ref = mesh.refinement_edge.tolist()
+    pairs = mesh.edge_elements[mesh.elem_edges]              # (nt, 3, 2)
+    own = pairs[:, :, 0] == np.arange(nt)[:, None]
+    nbr = np.where(own, pairs[:, :, 1], pairs[:, :, 0]).tolist()
+    dead = bytearray(nt)
+    origin = []     # element of ``mesh`` that child nt + i lies in
+    ends = []       # endpoints of midpoint nv + i
 
     def split(t, m):
         # refinement edge (a, b), peak p; children keep CCW orientation and
-        # get the edges opposite the new vertex as refinement edges.
+        # get the edges opposite the new vertex as refinement edges; the
+        # halves of (a, b), local edge 2 of each child, are linked by refine
         k = ref[t]
-        a = tris[t][(k + 1) % 3]
-        b = tris[t][(k + 2) % 3]
-        p = tris[t][k]
-        alive[t] = False
-        for kk in range(3):
-            key = _ekey(tris[t][(kk + 1) % 3], tris[t][(kk + 2) % 3])
-            edge2elems[key].discard(t)
-        for child, rloc in (([a, m, p], 1), ([m, b, p], 0)):
-            tris.append(child)
-            ref.append(rloc)
-            origin.append(origin[t])
-            alive.append(True)
-            tid = len(tris) - 1
-            for kk in range(3):
-                key = _ekey(child[(kk + 1) % 3], child[(kk + 2) % 3])
-                edge2elems.setdefault(key, set()).add(tid)
+        tri, around = tris[t], nbr[t]
+        p, a, b = tri[k], tri[_NEXT[k]], tri[_PREV[k]]
+        across_pa, across_bp = around[_PREV[k]], around[_NEXT[k]]
+        c = len(tris)
+        tris.extend(([a, m, p], [m, b, p]))
+        ref.extend((1, 0))
+        nbr.extend(([c + 1, across_pa, -1], [across_bp, c, -1]))
+        o = t if t < nt else origin[t - nt]
+        origin.extend((o, o))
+        dead[t] = 1
+        dead.extend(b"\0\0")
+        # an outer neighbor runs the shared edge the other way, from a to p
+        # or from p to b, and its local edge j runs from local vertex _NEXT[j]
+        if across_pa >= 0:
+            nbr[across_pa][_PREV[tris[across_pa].index(a)]] = c
+        if across_bp >= 0:
+            nbr[across_bp][_PREV[tris[across_bp].index(p)]] = c + 1
+        return c
 
     def refine(t, depth):
         if depth > CLOSURE_DEPTH_CAP:
             raise MeshError("closure recursion exceeded depth cap "
                             f"{CLOSURE_DEPTH_CAP}; incompatible refinement edges")
-        if not alive[t]:
+        if dead[t]:
             return
         while True:
-            if not alive[t]:
+            if dead[t]:
                 return  # bisected as a side effect of the recursion
-            key = ref_key(t)
-            nb = neighbor_across(t, key)
-            if nb is None or ref_key(nb) == key:
+            nb = nbr[t][ref[t]]
+            if nb < 0 or nbr[nb][ref[nb]] == t:
                 break
             refine(nb, depth + 1)
-        m = midpoint(key)
-        if nb is not None:
-            split(nb, m)
-        split(t, m)
+        k = ref[t]
+        m = nv + len(ends)
+        ends.append((tris[t][_NEXT[k]], tris[t][_PREV[k]]))
+        if nb < 0:
+            split(t, m)
+            return
+        # nb's children [b, m, p'] and [m, a, p'] meet t's [a, m, p] and
+        # [m, b, p] along the halves of the split edge
+        cn = split(nb, m)
+        ct = split(t, m)
+        nbr[ct][2], nbr[cn + 1][2] = cn + 1, ct
+        nbr[ct + 1][2], nbr[cn][2] = cn, ct + 1
 
-    for t in marked:
-        if alive[t]:
+    for t in marked.tolist():
+        if not dead[t]:
             refine(t, 0)
 
-    keep = [t for t in range(len(tris)) if alive[t]]
-    new_elements = np.array([tris[t] for t in keep], dtype=np.int64)
-    new_ref = np.array([ref[t] for t in keep], dtype=np.int64)
-    return Mesh(np.array(verts, dtype=float), new_elements, new_ref,
-                [origin[t] for t in keep])
-
-
-def _ekey(a, b):
-    return (a, b) if a < b else (b, a)
+    alive = np.frombuffer(dead, dtype=np.uint8) == 0
+    old, new = alive[:nt], alive[nt:]
+    # every edge bisected here is an edge of ``mesh``: the recursion only
+    # reaches elements of ``mesh`` and their children, whose refinement
+    # edges are edges of ``mesh``
+    ends = np.array(ends, dtype=np.int64)
+    vertices = np.concatenate([mesh.vertices,
+                               0.5 * (mesh.vertices[ends[:, 0]]
+                                      + mesh.vertices[ends[:, 1]])])
+    elements = np.concatenate([mesh.elements[old],
+                               np.array(tris[nt:], dtype=np.int64)[new]])
+    refinement = np.concatenate([mesh.refinement_edge[old],
+                                 np.array(ref[nt:], dtype=np.int64)[new]])
+    parent = np.concatenate([np.flatnonzero(old),
+                             np.array(origin, dtype=np.int64)[new]])
+    return Mesh(vertices, elements, refinement, parent)
 
 
 def uniform_refine(mesh, times=1):

@@ -193,13 +193,20 @@ def solve_equality_qp(A, b, rows, targets, solver=None):
         return _schur(solver.solve(b), solver.solve(R.toarray().T), R, targets)
 
     n = A.shape[0]
-    K = sp.bmat([[A, R.T], [R, None]], format="csc")
     eps = SADDLE_REGULARIZATION * float(np.max(np.abs(A.diagonal())))
+    # one copy of the saddle: factor it with -eps on the lower diagonal,
+    # then zero those entries (the last stored entry of each of the last k
+    # sorted columns) and refine against the true bordered system; stored
+    # zeros of A or R would change SuperLU's ordering, so none are kept
+    K = sp.bmat([[A, R.T], [R, sp.diags(np.full(k, -eps))]], format="csc")
+    K.eliminate_zeros()
+    K.sort_indices()
     try:
-        lu = _symmetric_splu(K - sp.diags(np.r_[np.zeros(n), np.full(k, eps)]))
+        lu = _symmetric_splu(K)
     except RuntimeError as exc:
         raise SolverError("saddle factorization failed (dependent active "
                           "rows?)") from exc
+    K.data[K.indptr[n + 1:] - 1] = 0.0
     sol = _refine(K, lu.solve, np.concatenate([b, targets]))
     return sol[:n], -sol[n:]
 

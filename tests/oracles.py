@@ -13,11 +13,16 @@ package's primitive basis: it checks only the contraction order of
 The last section holds tools of the method's analysis that the solver
 loop never calls: the interpolation operator I_h (it uses the package's
 quadrature rules), a Slater-point check of the problem data, the minimum
-angle of a mesh, a conformity check of a mesh of a rectangle, and a
-per-entry loop reference for the vectorized ``Mesh.edge_elements`` fill.
+angle of a mesh, a conformity check of a mesh of a rectangle, a
+per-entry loop reference for the vectorized ``Mesh.edge_elements`` fill,
+the edge numbering by a lexicographic sort of endpoint pairs, and a
+newest-vertex bisection that finds neighbors in a dict from vertex pairs
+to element sets, rebuilt over the whole mesh on every call.
 """
 
 import numpy as np
+
+import morley_ocp.mesh as mesh_module
 
 from morley_ocp.element import (edge_rule, prim_d2lam, prim_dlam, prim_values,
                                 triangle_rule)
@@ -561,3 +566,107 @@ def edge_elements_loop(mesh):
     swap = (adj[:, 1] >= 0) & (s0 > 0)
     adj[swap] = adj[swap][:, ::-1]
     return adj
+
+
+def edges_lexicographic(mesh):
+    """(edges, elem_edges) numbered by ``np.unique`` over the sorted
+    endpoint pairs as rows, the reference for ``Mesh.edges`` and
+    ``Mesh.elem_edges``."""
+    el = mesh.elements
+    pairs = np.concatenate([el[:, [1, 2]], el[:, [2, 0]], el[:, [0, 1]]])
+    uniq, inverse = np.unique(np.sort(pairs, axis=1), axis=0,
+                              return_inverse=True)
+    return uniq, inverse.reshape(3, mesh.n_elements).T
+
+
+def _ekey(a, b):
+    return (a, b) if a < b else (b, a)
+
+
+def bisect_recursive(mesh, marked):
+    """Reference for ``bisect``: the same recursion (ascending marks,
+    neighbor split before the element, children ``[a, m, p]`` with
+    refinement edge 1 and ``[m, b, p]`` with 0), with neighbors found in a
+    dict from sorted vertex pairs to the sets of elements on that edge."""
+    marked = sorted(set(int(t) for t in marked))
+    if not marked:
+        return mesh
+    if marked[0] < 0 or marked[-1] >= mesh.n_elements:
+        raise mesh_module.MeshError("marked ids out of range")
+
+    verts = [tuple(v) for v in mesh.vertices]
+    tris = [list(t) for t in mesh.elements]
+    ref = list(mesh.refinement_edge)
+    origin = list(range(len(tris)))
+    alive = [True] * len(tris)
+    edge2elems = {}
+    for t, tri in enumerate(tris):
+        for k in range(3):
+            key = _ekey(tri[(k + 1) % 3], tri[(k + 2) % 3])
+            edge2elems.setdefault(key, set()).add(t)
+    midpoints = {}
+
+    def ref_key(t):
+        k = ref[t]
+        return _ekey(tris[t][(k + 1) % 3], tris[t][(k + 2) % 3])
+
+    def neighbor_across(t, key):
+        others = edge2elems.get(key, set()) - {t}
+        return next(iter(others)) if others else None
+
+    def midpoint(key):
+        m = midpoints.get(key)
+        if m is None:
+            a, b = key
+            verts.append(((verts[a][0] + verts[b][0]) / 2.0,
+                          (verts[a][1] + verts[b][1]) / 2.0))
+            m = len(verts) - 1
+            midpoints[key] = m
+        return m
+
+    def split(t, m):
+        k = ref[t]
+        a = tris[t][(k + 1) % 3]
+        b = tris[t][(k + 2) % 3]
+        p = tris[t][k]
+        alive[t] = False
+        for kk in range(3):
+            key = _ekey(tris[t][(kk + 1) % 3], tris[t][(kk + 2) % 3])
+            edge2elems[key].discard(t)
+        for child, rloc in (([a, m, p], 1), ([m, b, p], 0)):
+            tris.append(child)
+            ref.append(rloc)
+            origin.append(origin[t])
+            alive.append(True)
+            tid = len(tris) - 1
+            for kk in range(3):
+                key = _ekey(child[(kk + 1) % 3], child[(kk + 2) % 3])
+                edge2elems.setdefault(key, set()).add(tid)
+
+    def refine(t, depth):
+        if depth > mesh_module.CLOSURE_DEPTH_CAP:
+            raise mesh_module.MeshError("closure recursion exceeded depth cap")
+        if not alive[t]:
+            return
+        while True:
+            if not alive[t]:
+                return
+            key = ref_key(t)
+            nb = neighbor_across(t, key)
+            if nb is None or ref_key(nb) == key:
+                break
+            refine(nb, depth + 1)
+        m = midpoint(key)
+        if nb is not None:
+            split(nb, m)
+        split(t, m)
+
+    for t in marked:
+        if alive[t]:
+            refine(t, 0)
+
+    keep = [t for t in range(len(tris)) if alive[t]]
+    return mesh_module.Mesh(np.array(verts, dtype=float),
+                            np.array([tris[t] for t in keep], dtype=np.int64),
+                            np.array([ref[t] for t in keep], dtype=np.int64),
+                            [origin[t] for t in keep])

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+import morley_ocp.adaptive as adaptive
+import morley_ocp.problems as problems
 from morley_ocp.mesh import Mesh, MeshError, bisect, initial_mesh, uniform_refine
 
-from oracles import assert_conforming, barycentric, edge_elements_loop, min_angle
+from oracles import (assert_conforming, barycentric, bisect_recursive,
+                     edge_elements_loop, edges_lexicographic, min_angle)
 
 
 def test_unit_cross_counts(unit_cross):
@@ -28,6 +31,14 @@ def test_degenerate_domain_rejected():
         initial_mesh(1.0, 1.0, 2)
     with pytest.raises(MeshError):
         initial_mesh(0.0, 1.0, 0)
+
+
+def test_vertex_id_out_of_range_rejected():
+    # edges are keyed by lo * n_vertices + hi, which needs ids in range; a
+    # negative id would otherwise index from the end of the vertex array
+    verts = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+    with pytest.raises(MeshError, match="out of range"):
+        Mesh(verts, np.array([[0, 1, 2], [0, 2, -1]]), np.array([1, 2]))
 
 
 def test_bisect_empty_is_identity(unit_cross):
@@ -151,6 +162,15 @@ def test_marked_out_of_range(unit_cross):
         bisect(unit_cross, [99])
 
 
+def test_marked_must_be_integers(unit_cross):
+    # a boolean mask would be read as the ids 1 and 0 (elements 0 and 1
+    # instead of 0 and 3), and 1.7 would silently become element 1
+    with pytest.raises(MeshError, match="integers"):
+        bisect(unit_cross, [True, False, False, True])
+    with pytest.raises(MeshError, match="integers"):
+        bisect(unit_cross, [1.7])
+
+
 def test_closure_depth_cap(monkeypatch, unit_cross):
     # with the cap at zero, any recursive closure step must be reported as
     # an incompatible assignment
@@ -237,3 +257,71 @@ def test_hanging_node_is_not_conforming():
                  np.array([2, 2]))
     with pytest.raises(AssertionError, match="areas sum"):
         assert_conforming(twice, 0.0, 1.0)
+
+
+def _assert_same_bisection(mesh, marked):
+    """``bisect`` and the dict-based recursive reference give identical
+    arrays, and the edges are numbered in lexicographic order."""
+    new, ref = bisect(mesh, marked), bisect_recursive(mesh, marked)
+    for name in ("vertices", "elements", "refinement_edge", "parent",
+                 "edges", "edge_elements", "elem_edges"):
+        a, b = getattr(new, name), getattr(ref, name)
+        assert a.dtype == b.dtype, name
+        np.testing.assert_array_equal(a, b, err_msg=name)
+    edges, elem_edges = edges_lexicographic(new)
+    np.testing.assert_array_equal(new.edges, edges)
+    np.testing.assert_array_equal(new.elem_edges, elem_edges)
+    return new
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(min_value=1, max_value=2),
+       st.lists(st.lists(st.integers(min_value=0, max_value=10**6),
+                         min_size=1, max_size=12),
+                min_size=1, max_size=6))
+# in the last round a closure bisects children made earlier in the same
+# call, and then their children, whose neighbors across the halves of a
+# split edge come from the table's pairing of the two split elements
+@example(1, [[1, 0, 2, 1, 1, 0, 3, 3, 2, 3, 3], [3, 6, 0, 6, 0, 5, 0],
+             [3, 10, 8, 7], [4, 15, 15, 7, 17, 11, 6, 6, 15, 3, 11]])
+def test_bisect_matches_recursive_reference(subdivisions, mark_sets):
+    # several marks per round on meshes refined unevenly by the rounds
+    # before, so closures run through chains of neighbors; at most
+    # 6 rounds of 12 marks keep the mesh to a few hundred elements
+    m = initial_mesh(0.0, 1.0, subdivisions)
+    for marks in mark_sets:
+        m = _assert_same_bisection(m, [mark % m.n_elements for mark in marks])
+    assert_conforming(m, 0.0, 1.0)
+
+
+def test_bisect_matches_reference_on_graded_closure():
+    # grading toward the point (0.3, 0.6), which never becomes a vertex:
+    # each round marks the elements that hold it, and their refinement edges
+    # disagree with their neighbors', so the closure bisects a chain of
+    # elements (13 beyond the marked ones in the last rounds)
+    m = initial_mesh(0.0, 1.0, 2)
+    longest = 0
+    for _ in range(10):
+        everywhere = np.arange(m.n_elements)
+        lam = barycentric(m, everywhere, np.tile([0.3, 0.6], (m.n_elements, 1)))
+        holders = np.flatnonzero(np.all(lam > -1e-12, axis=1))
+        new = _assert_same_bisection(m, holders)
+        longest = max(longest, new.n_elements - m.n_elements - len(holders))
+        m = new
+    assert longest >= 10
+    assert_conforming(m, 0.0, 1.0)
+
+
+def test_bisect_matches_reference_along_ex4_study(monkeypatch):
+    # every level of an adaptive ex4 study, with its Doerfler marks
+    calls = []
+
+    def checked(mesh, marked):
+        calls.append(len(marked))
+        return _assert_same_bisection(mesh, marked)
+
+    monkeypatch.setattr(adaptive, "bisect", checked)
+    run = adaptive.adaptive_solve(problems.example(4),
+                                 adaptive.AdaptConfig(theta=0.3, max_dofs=2000))
+    assert run.records[-1].dofs > 2000
+    assert len(calls) == len(run.records) - 1 >= 5

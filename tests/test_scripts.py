@@ -52,3 +52,6 @@ def test_perfbench_trace_covers_every_layer():
     # the estimator evaluates y_h once per level, on points shared by all
     # elements
     assert metrics["element.eval_calls"] == metrics["adaptive.iterations"]
+    # every level but the last is refined through the wrapped
+    # ``adaptive.bisect``
+    assert metrics["mesh.bisect_calls"] == metrics["adaptive.iterations"] - 1
