@@ -29,7 +29,7 @@ def main():
         sol = solve_vi(A, b, cons)
         print(f"level {level}: dofs={dm.n_dofs:7d} mu_h={sol.mu:.12f} "
               f"|mu_h - mu*|={abs(sol.mu - mu_star):.3e} "
-              f"state_active={sol.active_state}")
+              f"state_active={bool(sol.active[0])}")
         mesh = uniform_refine(mesh, 1)
 
 

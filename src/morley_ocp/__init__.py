@@ -37,8 +37,7 @@ from .element import DofMap, QuadratureRule, integrate  # noqa: E402
 from .assembly import (ConstraintSet, assemble_constraints,  # noqa: E402
                        assemble_system, element_laplacian_rows)
 from .vi_solver import (SolverError, SpdSolver, ViSolution,  # noqa: E402
-                        kkt_residual, solve_case_i, solve_case_ii,
-                        solve_equality_qp, solve_vi)
+                        kkt_residual, solve_equality_qp, solve_vi)
 from .estimator import (ErrorReport, EstimatorBreakdown, estimate,  # noqa: E402
                         eta_edges, eta_interior, true_error)
 from .adaptive import (AdaptConfig, AdaptiveError, AdaptiveRun, RunRecord,  # noqa: E402
@@ -52,8 +51,7 @@ __all__ = [
     "ConstraintSet", "assemble_constraints", "assemble_system",
     "element_laplacian_rows",
     "SolverError", "SpdSolver", "ViSolution",
-    "kkt_residual", "solve_case_i", "solve_case_ii", "solve_equality_qp",
-    "solve_vi",
+    "kkt_residual", "solve_equality_qp", "solve_vi",
     "ErrorReport", "EstimatorBreakdown", "estimate", "eta_edges",
     "eta_interior", "true_error",
     "AdaptConfig", "AdaptiveError", "AdaptiveRun", "RunRecord",

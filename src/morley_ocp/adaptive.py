@@ -5,9 +5,9 @@ the minimal prefix of elements, ordered by decreasing indicator (ties by
 ascending id), whose sum reaches ``theta`` times the total.  Refinement is
 newest-vertex bisection.  Every iteration records DOF count, estimator
 parts, errors against the reference solution when available, multiplier
-summaries, KKT certificates, and wall time.  In the box case each level's
-PDAS iteration starts from the previous level's active set, carried to the
-children through ``Mesh.parent``.
+summaries, KKT certificates, and wall time.  Each level's PDAS iteration
+starts from the previous level's active set; in the box case the element
+rows carry it to the children through ``Mesh.parent``.
 """
 
 from __future__ import annotations
@@ -131,20 +131,19 @@ def fit_slope(records, window, field_name="eta_h"):
 
 
 def _lambda_summary(solution):
-    if solution.case == "integral":
-        lam = float(solution.lam)
-        return repr(lam), lam, lam, int(solution.active_control), 0
-    lam = np.asarray(solution.lam)
-    act = np.asarray(solution.active_control)
+    act = solution.active[1:]
     nlo = int(np.sum(act == -1))
     nup = int(np.sum(act == 1))
-    lmin, lmax = float(lam.min()), float(lam.max())
+    lmin, lmax = float(solution.lam.min()), float(solution.lam.max())
+    if solution.case == "integral":
+        return repr(lmin), lmin, lmax, nlo, nup
     return f"min={lmin!r};max={lmax!r};nlo={nlo};nup={nup}", lmin, lmax, nlo, nup
 
 
 def solve_on_mesh(problem, mesh, guess=None):
     """One SOLVE+ESTIMATE pass; returns (dofmap, solution, breakdown,
-    error_report, kkt).  ``guess`` is the box case's starting active set."""
+    error_report, kkt).  ``guess`` is the starting active set, per
+    constraint row."""
     dofmap = DofMap(mesh)
     A, b = assemble_system(dofmap, problem)
     cons = assemble_constraints(dofmap, problem)
@@ -196,7 +195,7 @@ def adaptive_solve(problem, adapt=None):
             mu_h=float(solution.mu), lambda_summary=summary,
             lambda_min=lmin, lambda_max=lmax,
             n_active_lower=nlo, n_active_upper=nup,
-            state_active=bool(solution.active_state),
+            state_active=bool(solution.active[0]),
             kkt_stationarity=kkt[0], kkt_feasibility=kkt[1],
             kkt_complementarity=kkt[2],
             solver_iterations=int(solution.iterations),
@@ -222,7 +221,8 @@ def adaptive_solve(problem, adapt=None):
         else:
             marked = doerfler_mark(breakdown.element_indicators, adapt.theta)
         mesh = bisect(mesh, marked)
+        guess = solution.active
         if solution.case == "box":
-            guess = solution.active_control[mesh.parent]
+            guess = guess[np.r_[0, 1 + mesh.parent]]
 
     return run

@@ -33,22 +33,23 @@ class AssemblyError(Exception):
 
 @dataclass
 class ConstraintSet:
-    """Linear constraint functionals of the discrete problem.
+    """Linear constraints ``lower <= rows @ w <= upper`` of the discrete
+    problem; every row is an exact integral of the basis functions.
 
-    ``case`` is "integral" (scalar state and control rows) or "box"
-    (scalar state row plus per-element control boxes).  All rows are exact
-    integrals of the basis functions.
+    Row 0 is the state row ``w -> int_Omega w``, bounded below by delta2
+    ("integral" case) or delta3 ("box" case) and not above.  The integral
+    case adds the row ``w -> int_Omega(-Delta_h w)``, bounded below by
+    ``delta1 + int_Omega f``; the box case adds one row
+    ``w -> int_T(-Delta w)`` per element T, between ``int_T u_a`` and
+    ``int_T u_b``.  ``sizes`` is each row's domain measure, |Omega| or |T|,
+    which turns row values into averages.
     """
 
     case: str
-    state_row: np.ndarray            # w -> int_Omega w
-    state_bound: float               # delta2 (integral) or delta3 (box)
-    control_row: np.ndarray | None   # w -> int_Omega(-Delta_h w), case integral
-    control_bound: float | None      # delta1 + int_Omega f
-    element_rows: sp.csr_matrix | None   # rows w -> int_T(-Delta w), case box
-    lower: np.ndarray | None         # int_T u_a
-    upper: np.ndarray | None         # int_T u_b
-    areas: np.ndarray | None = None  # element areas, Q_T scaling of the boxes
+    rows: sp.csr_matrix
+    lower: np.ndarray
+    upper: np.ndarray
+    sizes: np.ndarray
 
 
 def _element_matrices(dofmap: DofMap, beta, sl):
@@ -170,34 +171,39 @@ def assemble_constraints(dofmap: DofMap, problem):
     mesh = dofmap.mesh
     state_row = np.zeros(dofmap.n_dofs)
     state_row[dofmap.bubble_dof] = mesh.areas
+    laplacians = element_laplacian_rows(dofmap)
+    omega = float(mesh.areas.sum())
 
     if problem.case == "integral":
-        rows = element_laplacian_rows(dofmap)
-        control_row = np.asarray(rows.sum(axis=0)).ravel()
         f_int = 0.0
         if problem.f is not None:
             f_int = integrate(mesh, problem.f, degree=10)
             if not np.isfinite(f_int):
                 raise AssemblyError(f"source integral is not finite: {f_int}")
-        return ConstraintSet("integral", state_row, problem.delta2,
-                             control_row, problem.delta1 + f_int,
-                             None, None, None)
-    if problem.case == "box":
-        rows = element_laplacian_rows(dofmap)
+        control = laplacians.sum(axis=0)
+        lower = np.array([problem.delta2, problem.delta1 + f_int])
+        upper = np.full(2, np.inf)
+        sizes = np.full(2, omega)
+    elif problem.case == "box":
+        control = laplacians
         rule = triangle_rule(6)
         X = mesh.physical_points(rule.points)
         ua = np.asarray(problem.u_a(X[..., 0], X[..., 1]), dtype=float)
         ub = np.asarray(problem.u_b(X[..., 0], X[..., 1]), dtype=float)
         ua = np.broadcast_to(ua, X.shape[:2])
         ub = np.broadcast_to(ub, X.shape[:2])
-        lower = mesh.areas * (ua @ rule.weights)
-        upper = mesh.areas * (ub @ rule.weights)
-        if not (np.all(np.isfinite(lower)) and np.all(np.isfinite(upper))):
+        box_lo = mesh.areas * (ua @ rule.weights)
+        box_up = mesh.areas * (ub @ rule.weights)
+        if not (np.all(np.isfinite(box_lo)) and np.all(np.isfinite(box_up))):
             raise AssemblyError("element with a non-finite Q_T(u_a) or Q_T(u_b)")
-        if not np.all(lower < upper):
+        if not np.all(box_lo < box_up):
             raise AssemblyError("element with Q_T(u_a) >= Q_T(u_b)")
-        return ConstraintSet("box", state_row, problem.delta3,
-                             None, None, rows, lower, upper,
-                             areas=np.array(mesh.areas))
-    raise AssemblyError(f"problem case must be 'integral' or 'box', got "
-                        f"{problem.case!r}")
+        lower = np.r_[problem.delta3, box_lo]
+        upper = np.r_[np.inf, box_up]
+        sizes = np.r_[omega, mesh.areas]
+    else:
+        raise AssemblyError(f"problem case must be 'integral' or 'box', got "
+                            f"{problem.case!r}")
+    rows = sp.vstack([sp.csr_matrix(state_row), sp.csr_matrix(control)],
+                     format="csr")
+    return ConstraintSet(problem.case, rows, lower, upper, sizes)

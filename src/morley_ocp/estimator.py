@@ -63,13 +63,6 @@ class ErrorReport:
     efficiency_index: Optional[float] = None
 
 
-def _lambda_per_element(solution, nt):
-    lam = np.asarray(solution.lam, dtype=float)
-    if lam.ndim == 0:
-        return np.full(nt, float(lam))
-    return lam
-
-
 def eta_interior(dofmap: DofMap, y, mu, lam_elem, problem):
     """Element terms: interior residual eta1 and multiplier term eta5."""
     mesh = dofmap.mesh
@@ -166,7 +159,9 @@ def add_edge_shares(mesh, acc, edge_values):
 def estimate(dofmap: DofMap, solution, problem):
     """Assemble the full EstimatorBreakdown for a certified solution."""
     mesh = dofmap.mesh
-    lam_elem = _lambda_per_element(solution, mesh.n_elements)
+    # the integral case's one control multiplier serves every element
+    lam_elem = np.broadcast_to(np.asarray(solution.lam, dtype=float),
+                               (mesh.n_elements,))
     eta1_sq, eta5_sq = eta_interior(dofmap, solution.coefficients,
                                     solution.mu, lam_elem, problem)
     eta2_sq, eta3_sq, eta4_sq = eta_edges(dofmap, solution.coefficients,

@@ -68,6 +68,12 @@ class Mesh:
             raise MeshError("non-finite vertex coordinates")
         if self.elements.ndim != 2 or self.elements.shape[1] != 3:
             raise MeshError("elements must be (nt, 3)")
+        if self.refinement_edge.shape != (len(self.elements),):
+            raise MeshError(f"refinement edge array has shape "
+                            f"{self.refinement_edge.shape} for "
+                            f"{len(self.elements)} elements")
+        if np.any((self.refinement_edge < 0) | (self.refinement_edge > 2)):
+            raise MeshError("refinement edge outside the local edges 0, 1, 2")
         self.parent = None if parent is None else np.array(parent, np.int64)
         self._build_topology()
         for a in (self.vertices, self.elements, self.refinement_edge,

@@ -1,16 +1,12 @@
-"""Solvers for the discrete variational inequality (constrained QP).
+"""Solver for the discrete variational inequality (constrained QP).
 
-The discrete problem minimizes ``1/2 x'Ax - b'x`` over linear inequality
-constraints.  Two structures occur:
-
-* integral case: two scalar rows (state mean, control mean), solved by
-  exact enumeration of the four active-set candidates, which share one
-  back-solve for ``A^{-1} b`` and one for ``A^{-1}`` of both rows;
-* box case: the scalar state row plus per-element control boxes, solved by
-  a primal-dual active set iteration with an outer enumeration over the
-  state row, started from a given active set (the adaptive loop passes
-  the parent mesh's sets: a warm start as in Hintermueller, Ito and
-  Kunisch, SIAM J. Optim. 13, 2002).
+The discrete problem minimizes ``1/2 x'Ax - b'x`` subject to
+``lower <= R x <= upper``, where row 0 of R is the state row (lower bound
+only) and the remaining rows are control rows: one integral row, or one
+row per element with a box.  Both cases run the same primal-dual active
+set iteration (Hintermueller, Ito and Kunisch, SIAM J. Optim. 13, 2002),
+which handles one-sided and two-sided rows alike and can start from a
+given active set; the adaptive loop passes the parent mesh's.
 
 Every matrix is factored by SuperLU in symmetric mode (a fill-reducing
 ordering of ``A + A'`` with diagonal pivots).  Equality-constrained
@@ -22,9 +18,8 @@ symmetric quasi-definite (Vanderbei, SIAM J. Optim. 5, 1995), with ``eps``
 derived from the diagonal of A, and refine its answer against the true
 bordered KKT system.  All solves share one iterative-refinement loop that
 certifies the relative residual.  Multipliers follow the sign convention
-``A x - b - mu * state_row - sum(lambda_T * row_T) = 0`` with ``mu >= 0``
-and ``lambda`` nonnegative on lower-active, nonpositive on upper-active
-rows.
+``A x - b - R' nu = 0`` with ``nu = (mu, lam)``, nonnegative on
+lower-active and nonpositive on upper-active rows.
 """
 
 from __future__ import annotations
@@ -63,10 +58,6 @@ RESIDUAL_LIMIT = 1e-6
 PDAS_C = 1.0
 PDAS_MAX_ITERATIONS = 50
 
-# multiplier signs are checked against this times the load scale, primal
-# feasibility against this times max(1, |bound|)
-COMPLEMENTARITY_TOLERANCE = 1e-9
-
 
 class SolverError(Exception):
     pass
@@ -74,13 +65,18 @@ class SolverError(Exception):
 
 @dataclass
 class ViSolution:
-    """Certified solution of the discrete variational inequality."""
+    """Certified solution of the discrete variational inequality.
+
+    ``active`` is -1/0/+1 (lower-active/inactive/upper-active) per
+    constraint row, row 0 the state row; ``mu`` is the state row's
+    multiplier and ``lam`` holds the control rows' (one in the integral
+    case, one per element in the box case).
+    """
 
     coefficients: np.ndarray
     mu: float
-    lam: float | np.ndarray          # scalar (integral) or per-element (box)
-    active_state: bool
-    active_control: bool | np.ndarray  # flag, or per-element -1/0/+1 (lower/in/upper)
+    lam: np.ndarray
+    active: np.ndarray
     iterations: int
     case: str
 
@@ -177,28 +173,27 @@ def _schur(x0, Y, R, targets):
 def solve_equality_qp(A, b, rows, targets, solver=None):
     """Minimize 1/2 x'Ax - b'x subject to rows @ x = targets.
 
-    ``rows`` is a (k, n) array or sparse matrix of linearly independent
+    ``rows`` is a sparse (k, n) matrix of linearly independent
     functionals.  Returns (x, multipliers) with the stationarity convention
     ``A x - b - rows' @ multipliers = 0``.
     """
     targets = np.asarray(targets, dtype=float)
-    k = 0 if rows is None else (rows.shape[0] if sp.issparse(rows)
-                                else len(rows))
+    k = rows.shape[0]
     if k == 0:
         return (solver or SpdSolver(A)).solve(b), np.zeros(0)
-
-    R = rows if sp.issparse(rows) else sp.csr_matrix(np.atleast_2d(rows))
     if k <= SCHUR_ROW_LIMIT:
         solver = solver or SpdSolver(A)
-        return _schur(solver.solve(b), solver.solve(R.toarray().T), R, targets)
+        return _schur(solver.solve(b), solver.solve(rows.toarray().T), rows,
+                      targets)
 
     n = A.shape[0]
     eps = SADDLE_REGULARIZATION * float(np.max(np.abs(A.diagonal())))
     # one copy of the saddle: factor it with -eps on the lower diagonal,
     # then zero those entries (the last stored entry of each of the last k
     # sorted columns) and refine against the true bordered system; stored
-    # zeros of A or R would change SuperLU's ordering, so none are kept
-    K = sp.bmat([[A, R.T], [R, sp.diags(np.full(k, -eps))]], format="csc")
+    # zeros of A or the rows would change SuperLU's ordering, so none are kept
+    K = sp.bmat([[A, rows.T], [rows, sp.diags(np.full(k, -eps))]],
+                format="csc")
     K.eliminate_zeros()
     K.sort_indices()
     try:
@@ -212,146 +207,59 @@ def solve_equality_qp(A, b, rows, targets, solver=None):
 
 
 def _load_scale(b):
-    """max(1, max|b|): the scale of multiplier signs and stationarity."""
+    """max(1, max|b|): the scale of stationarity."""
     return max(1.0, float(np.max(np.abs(b))) if len(b) else 1.0)
 
 
-def _feas_tol(bound):
-    return COMPLEMENTARITY_TOLERANCE * max(1.0, abs(bound))
+def solve_vi(A, b, constraints: ConstraintSet, guess=None):
+    """Primal-dual active set iteration over every constraint row.
 
-
-def solve_case_i(A, b, constraints: ConstraintSet):
-    """Exact active-set enumeration for the two-scalar-row case.
-
-    Tries the candidates {}, {state}, {control}, {state, control} in order
-    and accepts the first that is primal feasible with correctly signed
-    multipliers.  ``x0 = A^{-1} b`` and ``Y = A^{-1} [s c]`` are computed
-    once; each pinned candidate is then a Schur solve of at most 2x2.
+    Each step pins the active rows to their bounds, solves that equality
+    QP, and takes as the next lower (upper) set the rows with
+    ``nu + PDAS_C * (bound - value) / size`` above (below) zero, where
+    ``nu`` is the row's multiplier (zero on free rows), so row averages are
+    compared; it stops when the sets repeat.  ``guess`` is the starting
+    active set, -1/0/+1 per row as in ``ViSolution.active`` (None: nothing
+    active).  The factor of A is built on first use and shared by every
+    step that takes the Schur route.
     """
-    if constraints.case != "integral":
-        raise SolverError("solve_case_i needs an integral-case ConstraintSet")
-    solver = SpdSolver(A)
-    rows = np.vstack([constraints.state_row, constraints.control_row])
-    bounds = np.array([constraints.state_bound, constraints.control_bound])
-    sign_tol = COMPLEMENTARITY_TOLERANCE * _load_scale(b)
-    feas_tol = np.array([_feas_tol(d) for d in bounds])
-
-    x0 = solve_equality_qp(A, b, None, [], solver)[0]
-    Y = solver.solve(rows.T)
-    candidates = [(), (0,), (1,), (0, 1)]
-    for tried, active in enumerate(candidates, start=1):
-        pinned = list(active)
-        nu = np.zeros(2)
-        x = x0
-        if pinned:
-            x, nu[pinned] = _schur(x0, Y[:, pinned], rows[pinned],
-                                   bounds[pinned])
-        if np.any(nu < -sign_tol):
-            continue
-        free = [i for i in range(2) if i not in active]
-        if np.any(rows[free] @ x < bounds[free] - feas_tol[free]):
-            continue
-        logger.debug("case-i accepted active set %s after %d candidates",
-                     active, tried)
-        return ViSolution(
-            coefficients=x, mu=max(float(nu[0]), 0.0),
-            lam=max(float(nu[1]), 0.0),
-            active_state=0 in active, active_control=1 in active,
-            iterations=tried, case="integral")
-    raise SolverError("no active-set candidate is feasible with correctly "
-                      "signed multipliers (Slater violation or bad data)")
-
-
-def solve_case_ii(A, b, constraints: ConstraintSet, guess=None):
-    """Primal-dual active set iteration for per-element control boxes.
-
-    The scalar state row is handled by an outer enumeration (inactive
-    branch first); inside, the standard PDAS switching rule on the
-    element-average residuals updates the sets until they repeat.  Both
-    branches start from ``guess`` (-1/0/+1 per element as in
-    ``active_control``; None is empty) and share a lazily built factor of A.
-    """
-    if constraints.case != "box":
-        raise SolverError("solve_case_ii needs a box-case ConstraintSet")
-    s, ds = constraints.state_row, constraints.state_bound
-    areas = constraints.areas
-    if areas is None:
-        raise SolverError("box-case ConstraintSet is missing element areas")
-    guess = np.zeros(len(areas), int) if guess is None else np.asarray(guess)
-    if guess.shape != areas.shape:
+    rows, lower, upper, sizes = (constraints.rows, constraints.lower,
+                                 constraints.upper, constraints.sizes)
+    m = rows.shape[0]
+    guess = np.zeros(m, int) if guess is None else np.asarray(guess)
+    if guess.shape != (m,):
         raise SolverError(f"active-set guess has shape {guess.shape} for "
-                          f"{len(areas)} elements")
+                          f"{m} constraint rows")
+    if np.any(np.isinf(upper[guess == 1])):
+        raise SolverError("active-set guess puts a row without an upper "
+                          "bound at its upper bound")
     spd = functools.cache(lambda: SpdSolver(A))
-    sign_tol = COMPLEMENTARITY_TOLERANCE * _load_scale(b)
+    q_lo = lower / sizes
+    q_up = upper / sizes
 
-    last_error = None
-    for state_active in (False, True):
-        try:
-            result = _pdas(A, b, constraints, spd, state_active, areas, guess)
-        except SolverError as exc:
-            last_error = exc
-            continue
-        x, mu, lam, act, iters = result
-        if state_active and mu < -sign_tol:
-            last_error = SolverError("state-active branch produced mu < 0")
-            continue
-        if not state_active and s @ x < ds - _feas_tol(ds):
-            last_error = SolverError("state-inactive branch is infeasible")
-            continue
-        return ViSolution(
-            coefficients=x, mu=max(mu, 0.0), lam=lam,
-            active_state=state_active, active_control=act,
-            iterations=iters, case="box")
-    raise SolverError(f"primal-dual active set failed on both state branches: "
-                      f"{last_error}")
-
-
-def _pdas(A, b, constraints, spd, state_active, areas, guess):
-    s, ds = constraints.state_row, constraints.state_bound
-    rows, lower, upper = (constraints.element_rows, constraints.lower,
-                          constraints.upper)
-    nt = rows.shape[0]
-    s_row = sp.csr_matrix(s)
-    q_lo = lower / areas
-    q_up = upper / areas
-
-    lam = np.zeros(nt)
     act_lo = guess == -1
     act_up = guess == 1
     seen = set()
     for it in range(1, PDAS_MAX_ITERATIONS + 1):
-        ids_lo = np.flatnonzero(act_lo)
-        ids_up = np.flatnonzero(act_up)
-        R = rows[np.r_[ids_lo, ids_up]]
-        targets = np.r_[lower[ids_lo], upper[ids_up]]
-        if state_active:
-            R = sp.vstack([s_row, R], format="csr")
-            targets = np.r_[ds, targets]
-        solver = spd() if len(targets) <= SCHUR_ROW_LIMIT else None
-        x, nu = solve_equality_qp(A, b, R, targets, solver)
+        pinned = np.r_[np.flatnonzero(act_lo), np.flatnonzero(act_up)]
+        targets = np.r_[lower[act_lo], upper[act_up]]
+        solver = spd() if len(pinned) <= SCHUR_ROW_LIMIT else None
+        x, nu_pinned = solve_equality_qp(A, b, rows[pinned], targets, solver)
+        nu = np.zeros(m)
+        nu[pinned] = nu_pinned
 
-        mu = 0.0
-        off = 0
-        if state_active:
-            mu, off = float(nu[0]), 1
-        lam = np.zeros(nt)
-        lam[ids_lo] = nu[off:off + len(ids_lo)]
-        lam[ids_up] = nu[off + len(ids_lo):]
-
-        r = np.asarray(rows @ x)
-        q_r = r / areas
-        new_lo = lam + PDAS_C * (q_lo - q_r) > 0
-        new_up = lam + PDAS_C * (q_up - q_r) < 0
+        q = (rows @ x) / sizes
+        new_lo = nu + PDAS_C * (q_lo - q) > 0
+        new_up = nu + PDAS_C * (q_up - q) < 0
         if logger.isEnabledFor(logging.DEBUG):
-            logger.debug("pdas it=%d state=%s |A_a|=%d |A_b|=%d stat=%.3e",
-                         it, state_active, int(new_lo.sum()),
-                         int(new_up.sum()),
+            logger.debug("pdas it=%d |A_a|=%d |A_b|=%d stat=%.3e", it,
+                         int(new_lo.sum()), int(new_up.sum()),
                          np.linalg.norm(A @ x - b, np.inf))
         if np.array_equal(new_lo, act_lo) and np.array_equal(new_up, act_up):
-            act = np.zeros(nt, dtype=np.int64)
-            act[act_lo] = -1
-            act[act_up] = 1
-            return x, mu, lam, act, it
+            return ViSolution(
+                coefficients=x, mu=float(nu[0]), lam=nu[1:],
+                active=act_up.astype(np.int64) - act_lo, iterations=it,
+                case=constraints.case)
         sig = (new_lo.tobytes(), new_up.tobytes())
         if sig in seen:
             raise SolverError("primal-dual active set is cycling "
@@ -362,51 +270,25 @@ def _pdas(A, b, constraints, spd, state_active, areas, guess):
                       f"{PDAS_MAX_ITERATIONS} iterations")
 
 
-def solve_vi(A, b, constraints, guess=None):
-    """Dispatch on the constraint case (``guess``: see solve_case_ii)."""
-    if constraints.case == "integral":
-        return solve_case_i(A, b, constraints)
-    return solve_case_ii(A, b, constraints, guess)
-
-
 def kkt_residual(A, b, constraints, solution):
     """(stationarity, feasibility, complementarity), all normalized.
 
     Stationarity is the max-norm residual of the multiplier identity
     divided by the max-norm of the load; feasibility and complementarity
-    are normalized by the constraint scales.
+    are normalized per row by max(1, |lower|, |upper|), an infinite upper
+    bound left out.
     """
     x = solution.coefficients
     b = np.asarray(b, dtype=float)
-    s, ds = constraints.state_row, constraints.state_bound
-    r = A @ x - b - solution.mu * s
-    sval = float(s @ x)
-    scale_s = max(1.0, abs(ds))
-    # collected and reduced with np.max, which keeps a NaN term (Python's
-    # max(0.0, nan) is 0.0)
-    feas = [(ds - sval) / scale_s]
-    comp = [abs(solution.mu * (ds - sval)) / scale_s]
-
-    if constraints.case == "integral":
-        c, dc = constraints.control_row, constraints.control_bound
-        r = r - solution.lam * c
-        cval = float(c @ x)
-        scale_c = max(1.0, abs(dc))
-        feas.append((dc - cval) / scale_c)
-        comp.append(abs(solution.lam * (dc - cval)) / scale_c)
-    else:
-        rows, lower, upper = (constraints.element_rows, constraints.lower,
-                              constraints.upper)
-        lam = np.asarray(solution.lam)
-        r = r - rows.T @ lam
-        vals = np.asarray(rows @ x)
-        scale = np.maximum(1.0, np.maximum(np.abs(lower), np.abs(upper)))
-        feas.append(np.max(np.maximum(lower - vals, vals - upper) / scale,
-                           initial=0.0))
-        comp_el = np.where(lam > 0, lam * (vals - lower),
-                           np.where(lam < 0, lam * (vals - upper), 0.0))
-        comp.append(np.max(np.abs(comp_el) / scale, initial=0.0))
-
+    rows, lower, upper = constraints.rows, constraints.lower, constraints.upper
+    nu = np.r_[solution.mu, solution.lam]
+    r = A @ x - b - rows.T @ nu
+    vals = rows @ x
+    finite_up = np.where(np.isinf(upper), 0.0, upper)
+    scale = np.maximum(1.0, np.maximum(np.abs(lower), np.abs(finite_up)))
+    # reduced with np.max, which keeps a NaN term (Python's max(0.0, nan)
+    # is 0.0); a zero multiplier times a NaN bound stays NaN as well
+    feas = np.max(np.maximum(lower - vals, vals - upper) / scale, initial=0.0)
+    comp = np.abs(nu * (vals - np.where(nu < 0, upper, lower))) / scale
     stationarity = float(np.max(np.abs(r))) / _load_scale(b)
-    return (stationarity, float(np.max(feas, initial=0.0)),
-            float(np.max(comp)))
+    return stationarity, float(feas), float(np.max(comp, initial=0.0))

@@ -347,15 +347,20 @@ def projected_gradient(A, b, rows, bounds, tol=1e-11, max_iter=200000):
     return x
 
 
-def exhaustive_box_solve(A, b, state_row, state_bound, rows, lower, upper,
-                         tol=1e-9):
+def exhaustive_box_solve(A, b, rows, lower, upper, tol=1e-9):
     """Try every per-element {lower, inactive, upper} pattern times the
-    state-row status; return the unique candidate whose KKT checks pass."""
+    state-row status; return the unique candidate whose KKT checks pass.
+
+    Row 0 of ``rows`` is the state row, bounded below by ``lower[0]``; the
+    other rows are element rows with boxes ``[lower, upper]``.
+    """
     import itertools
 
     A = np.asarray(A)
-    nt = rows.shape[0]
     R = np.asarray(rows.todense()) if hasattr(rows, "todense") else np.asarray(rows)
+    state_row, state_bound = R[0], lower[0]
+    R, lower, upper = R[1:], lower[1:], upper[1:]
+    nt = R.shape[0]
     best = None
     for state_active in (False, True):
         for pattern in itertools.product((-1, 0, 1), repeat=nt):

@@ -160,13 +160,12 @@ def test_criterion_4c_case_i_oracles():
         A, b = assemble_system(dm, prob)
         cons = assemble_constraints(dm, prob)
         sol = solve_vi(A, b, cons)
-        rows = [cons.state_row, cons.control_row]
-        bounds = [cons.state_bound, cons.control_bound]
-        x_pg = projected_gradient(A.toarray(), b, rows, bounds)
+        x_pg = projected_gradient(A.toarray(), b, list(cons.rows.toarray()),
+                                  list(cons.lower))
         scale = 1 + np.abs(sol.coefficients).max()
         worst = max(worst, np.abs(sol.coefficients - x_pg).max() / scale)
     report("4c", worst < 1e-8,
-           f"case-i enumeration vs projected-gradient oracle on 10 meshes: "
+           f"case-i PDAS vs projected-gradient oracle on 10 meshes: "
            f"max deviation {worst:.2e} < 1e-8")
 
 
@@ -189,11 +188,10 @@ def test_criterion_4d_case_ii_oracle():
         A, b = assemble_system(dm, prob)
         cons = assemble_constraints(dm, prob)
         sol = solve_vi(A, b, cons)
-        assert sol.active_state == (d3 > 0)
-        assert list(sol.active_control) == [0, 1, 0, -1]
+        assert (sol.active[0] == -1) == (d3 > 0)
+        assert list(sol.active[1:]) == [0, 1, 0, -1]
         x_ref, mu_ref, lam_ref = exhaustive_box_solve(
-            A.toarray(), b, cons.state_row,
-            cons.state_bound, cons.element_rows, cons.lower, cons.upper)
+            A.toarray(), b, cons.rows, cons.lower, cons.upper)
         scale = 1 + np.abs(x_ref).max()
         worst = max(worst, np.abs(sol.coefficients - x_ref).max() / scale)
     report("4d", worst < 1e-8,
@@ -210,15 +208,11 @@ def test_criterion_5_kkt_certificates(ex1_run, ex2_run, ex3_run, ex4_run):
             worst["complementarity"] = max(worst["complementarity"],
                                            r.kkt_complementarity)
         sol = run.solution
+        lam, act = sol.lam, sol.active[1:]
         assert sol.mu >= 0.0
-        lam = np.asarray(sol.lam)
-        if lam.ndim == 0:
-            assert float(lam) >= 0.0
-        else:
-            act = np.asarray(sol.active_control)
-            assert np.all(lam[act == -1] >= 0)
-            assert np.all(lam[act == 1] <= 0)
-            assert np.all(lam[act == 0] == 0)
+        assert np.all(lam[act == -1] >= 0)
+        assert np.all(lam[act == 1] <= 0)
+        assert np.all(lam[act == 0] == 0)
     ok = (worst["stationarity"] <= 1e-8 and worst["feasibility"] <= 1e-9
           and worst["complementarity"] <= 1e-9)
     report(5, ok, "every recorded solve: stationarity "
@@ -291,8 +285,7 @@ def test_criterion_6_interpolation_identities():
     worst_state = worst_ctrl = -np.inf
     for _, f, g, lap in feasible:
         u = interpolate(dm, f, g)
-        sviol = cons.state_bound - cons.state_row @ u
-        cviol = cons.control_bound - cons.control_row @ u
+        sviol, cviol = cons.lower - cons.rows @ u
         # continuous membership margins, by quadrature
         mass = lapint = 0.0
         for t in range(mesh.n_elements):
@@ -300,7 +293,7 @@ def test_criterion_6_interpolation_identities():
             mass += float(w @ f(pts[:, 0], pts[:, 1]))
             lapint += float(w @ lap(pts[:, 0], pts[:, 1]))
         assert mass >= prob.delta2 - 1e-12          # xi in K (state)
-        assert -lapint >= cons.control_bound - 1e-9  # xi in K (control)
+        assert -lapint >= cons.lower[1] - 1e-9      # xi in K (control)
         worst_state = max(worst_state, float(sviol))
         worst_ctrl = max(worst_ctrl, float(cviol))
     ok2 = worst_state <= 1e-10 and worst_ctrl <= 1e-10

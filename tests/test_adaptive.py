@@ -221,20 +221,24 @@ def test_nan_data_fail_the_first_iteration():
     assert info.value.iteration == 0
 
 
-def test_warm_start_keeps_the_study_and_saves_iterations(monkeypatch):
-    # the same ex4 study with every level's PDAS started from empty sets
+# ex2 is left out: its warm start saves no PDAS iteration at this budget
+@pytest.mark.parametrize("name", ["ex1", "ex3", "ex4"])
+def test_warm_start_keeps_the_study_and_saves_iterations(monkeypatch, name):
+    # the same study with every level's PDAS started from empty sets
     import morley_ocp.adaptive as adaptive
     from morley_ocp import vi_solver
 
+    problem = example(int(name[2:]))
     cfg = AdaptConfig(max_dofs=2000)
-    warm = adaptive_solve(example(4), cfg).records
+    warm = adaptive_solve(problem, cfg).records
     monkeypatch.setattr(adaptive, "solve_vi",
                         lambda A, b, cons, guess=None:
                         vi_solver.solve_vi(A, b, cons))
-    cold = adaptive_solve(example(4), cfg).records
+    cold = adaptive_solve(problem, cfg).records
     assert [r.dofs for r in warm] == [r.dofs for r in cold]
-    assert ([r.n_active_upper for r in warm]
-            == [r.n_active_upper for r in cold])
+    assert [r.state_active for r in warm] == [r.state_active for r in cold]
+    assert ([r.lambda_summary for r in warm]
+            == [r.lambda_summary for r in cold])
     np.testing.assert_allclose([r.eta_h for r in warm],
                                [r.eta_h for r in cold], rtol=1e-12)
     assert (sum(r.solver_iterations for r in warm)

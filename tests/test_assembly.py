@@ -93,7 +93,7 @@ def test_state_row_equals_interpolant_integral():
     ref = sum(float(w @ f(*pts.T)) for pts, w in
               (tri_quad(*mesh.vertices[mesh.elements[t]], 8)
                for t in range(mesh.n_elements)))
-    assert cons.state_row @ u == pytest.approx(ref, abs=1e-12)
+    assert (cons.rows @ u)[0] == pytest.approx(ref, abs=1e-12)
 
 
 def test_element_row_on_bubble(reference_triangle_mesh):
@@ -129,7 +129,7 @@ def test_control_row_is_boundary_flux(unit_cross):
     # interior edge contributions cancel in the global control row
     dm = DofMap(unit_cross)
     cons = assemble_constraints(dm, poly_problem(with_f=False))
-    row = cons.control_row
+    row = cons.rows[1].toarray().ravel()
     for e in range(unit_cross.n_edges):
         d = dm.edge_dof[e]
         if unit_cross.boundary_edges[e]:
@@ -145,7 +145,7 @@ def test_control_bound_includes_source_integral():
     cons = assemble_constraints(dm, poly_problem(with_f=True))
     # delta1' = delta1 + int f with f = 1 + xy - y^2
     f_int = 1.0 + 0.25 - 1.0 / 3.0
-    assert cons.control_bound == pytest.approx(-10.0 + f_int, abs=1e-12)
+    assert cons.lower[1] == pytest.approx(-10.0 + f_int, abs=1e-12)
 
 
 def test_box_constraints_and_validation():
@@ -153,8 +153,12 @@ def test_box_constraints_and_validation():
     dm = DofMap(mesh)
     cons = assemble_constraints(dm, example(4))
     assert cons.case == "box"
-    assert np.allclose(cons.lower, 0.0)
-    assert np.allclose(cons.upper, 30.0 * mesh.areas)
+    assert np.allclose(cons.lower[1:], 0.0)
+    assert np.allclose(cons.upper[1:], 30.0 * mesh.areas)
+    # the state row: delta3 below, no upper bound, averaged over |Omega|
+    assert cons.lower[0] == example(4).delta3 and cons.upper[0] == np.inf
+    np.testing.assert_allclose(cons.sizes, np.r_[1.0, mesh.areas],
+                               rtol=1e-14)
     bad = example(4)
     bad.u_a, bad.u_b = bad.u_b, bad.u_a
     with pytest.raises(AssemblyError):
@@ -198,7 +202,7 @@ def test_qh_commutation_on_interpolants():
     ref = -sum(float(w @ lap(*pts.T)) for pts, w in
                (tri_quad(*mesh.vertices[mesh.elements[t]], 8)
                 for t in range(mesh.n_elements)))
-    assert cons.control_row @ u == pytest.approx(ref, abs=1e-11)
+    assert (cons.rows @ u)[1] == pytest.approx(ref, abs=1e-11)
 
 
 def test_no_kernel_smallest_eigenvalue(unit_cross):

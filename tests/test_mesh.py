@@ -41,6 +41,15 @@ def test_vertex_id_out_of_range_rejected():
         Mesh(verts, np.array([[0, 1, 2], [0, 2, -1]]), np.array([1, 2]))
 
 
+@pytest.mark.parametrize("edge", [[3], [-1], [0, 1], [[0]]])
+def test_refinement_edge_out_of_range_rejected(edge):
+    # bisect would read -1 as edge 2 and fail on 3 or a wrong length with
+    # an IndexError
+    verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    with pytest.raises(MeshError, match="refinement edge"):
+        Mesh(verts, np.array([[0, 1, 2]]), np.array(edge))
+
+
 def test_bisect_empty_is_identity(unit_cross):
     assert bisect(unit_cross, []) is unit_cross
 

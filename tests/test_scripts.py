@@ -49,6 +49,11 @@ def test_perfbench_trace_covers_every_layer():
     # PDAS started from empty sets on every level takes 25 iterations on
     # this study; the warm start from the parent mesh's sets takes 17
     assert metrics["vi_solver.iterations"] < 25
+    # one PDAS for every constraint row: a factorization more than the
+    # warm-started study needs (16 SuperLU factors, 15 of them bordered
+    # saddles) fails here
+    assert metrics["vi_solver.splu_calls"] <= 16
+    assert metrics["vi_solver.saddle_calls"] <= 15
     # the estimator evaluates y_h once per level, on points shared by all
     # elements
     assert metrics["element.eval_calls"] == metrics["adaptive.iterations"]

@@ -8,7 +8,6 @@ from morley_ocp.element import DofMap
 from morley_ocp.mesh import initial_mesh, uniform_refine
 from morley_ocp.problems import ProblemSpec, example, manufactured
 from morley_ocp.vi_solver import (SolverError, SpdSolver, kkt_residual,
-                                  solve_case_i, solve_case_ii,
                                   solve_equality_qp, solve_vi)
 
 from conftest import random_mesh
@@ -64,14 +63,14 @@ def test_pdas_iteration_cap_raises(monkeypatch):
     A, b = assemble_system(dm, prob)
     cons = assemble_constraints(dm, prob)
     with pytest.raises(SolverError, match="did not converge in 1 iterations"):
-        solve_case_ii(A, b, cons)
+        solve_vi(A, b, cons)
 
 
 # -- equality-constrained QP ---------------------------------------------
 
 def test_equality_qp_no_rows(unit_cross):
     dm, A, b, cons = setup_case_i(manufactured(0), unit_cross)
-    x, nu = solve_equality_qp(A, b, None, [])
+    x, nu = solve_equality_qp(A, b, sp.csr_matrix((0, len(b))), [])
     assert len(nu) == 0
     assert np.linalg.norm(A @ x - b, np.inf) < 1e-9 * np.abs(b).max()
 
@@ -79,27 +78,27 @@ def test_equality_qp_no_rows(unit_cross):
 def test_equality_qp_single_row(unit_cross):
     dm, A, b, cons = setup_case_i(manufactured(0), unit_cross)
     t = 0.123
-    x, nu = solve_equality_qp(A, b, cons.state_row[None, :], [t])
-    assert cons.state_row @ x == pytest.approx(t, abs=1e-10)
-    r = A @ x - b - nu[0] * cons.state_row
+    state = cons.rows[[0]]
+    x, nu = solve_equality_qp(A, b, state, [t])
+    assert (state @ x)[0] == pytest.approx(t, abs=1e-10)
+    r = A @ x - b - state.T @ nu
     assert np.abs(r).max() < 1e-10 * max(1, np.abs(b).max())
 
 
 def test_equality_qp_two_rows(unit_cross):
     dm, A, b, cons = setup_case_i(manufactured(0), unit_cross)
-    rows = np.vstack([cons.state_row, cons.control_row])
+    rows = cons.rows                # the state and the control row
     targets = [0.05, 1.5]
     x, nu = solve_equality_qp(A, b, rows, targets)
-    assert cons.state_row @ x == pytest.approx(0.05, abs=1e-10)
-    assert cons.control_row @ x == pytest.approx(1.5, abs=1e-9)
+    assert (rows @ x)[0] == pytest.approx(0.05, abs=1e-10)
+    assert (rows @ x)[1] == pytest.approx(1.5, abs=1e-9)
     r = A @ x - b - rows.T @ nu
     assert np.abs(r).max() < 1e-10 * max(1, np.abs(b).max())
 
 
 def _two_row_case():
     dm, A, b, cons = setup_case_i(manufactured(1), initial_mesh(0.0, 1.0, 1))
-    rows = np.vstack([cons.state_row, cons.control_row])
-    return A, b, sp.csr_matrix(rows), np.array([0.02, 0.7])
+    return A, b, cons.rows, np.array([0.02, 0.7])
 
 
 def _ex4_pinned_case():
@@ -109,10 +108,10 @@ def _ex4_pinned_case():
     prob = example(4)
     A, b = assemble_system(dm, prob)
     cons = assemble_constraints(dm, prob)
-    lo, up = np.arange(0, 200, 4), np.arange(1, 200, 4)
-    R = sp.vstack([sp.csr_matrix(cons.state_row), cons.element_rows[lo],
-                   cons.element_rows[up]], format="csr")
-    return A, b, R, np.r_[cons.state_bound, cons.lower[lo], cons.upper[up]]
+    lo, up = np.arange(1, 201, 4), np.arange(2, 201, 4)
+    return A, b, cons.rows[np.r_[0, lo, up]], np.r_[cons.lower[0],
+                                                     cons.lower[lo],
+                                                     cons.upper[up]]
 
 
 def test_equality_qp_saddle_path_matches_schur(monkeypatch):
@@ -152,14 +151,14 @@ def test_equality_qp_saddle_dependent_rows_raise():
         solve_equality_qp(A, b, R, targets)
 
 
-# -- integral case (exact enumeration) ------------------------------------
+# -- integral case --------------------------------------------------------
 
 def test_case_i_unconstrained(unit_cross):
     prob = manufactured(3)          # slack bounds by construction
     dm, A, b, cons = setup_case_i(prob, unit_cross)
-    sol = solve_case_i(A, b, cons)
-    assert sol.mu == 0.0 and sol.lam == 0.0
-    assert not sol.active_state and not sol.active_control
+    sol = solve_vi(A, b, cons)
+    assert sol.mu == 0.0 and np.all(sol.lam == 0.0)
+    assert np.all(sol.active == 0)
     assert sol.iterations == 1
 
 
@@ -167,11 +166,11 @@ def test_case_i_state_active_manufactured():
     prob = manufactured(5, active_state=True)
     mesh = uniform_refine(initial_mesh(0.0, 1.0, 2), 1)
     dm, A, b, cons = setup_case_i(prob, mesh)
-    sol = solve_case_i(A, b, cons)
-    assert sol.active_state and sol.mu > 0
-    assert sol.lam == 0.0
-    assert cons.state_row @ sol.coefficients == pytest.approx(
-        cons.state_bound, abs=1e-10)
+    sol = solve_vi(A, b, cons)
+    assert sol.active[0] == -1 and sol.mu > 0
+    assert np.all(sol.lam == 0.0)
+    assert (cons.rows @ sol.coefficients)[0] == pytest.approx(
+        cons.lower[0], abs=1e-10)
     # the mean functional is exact on the discrete space, so the designed
     # multiplier is recovered at rounding level already on coarse meshes
     assert abs(sol.mu - prob.multipliers["mu"]) < 1e-8
@@ -184,8 +183,7 @@ def test_case_i_matches_projected_gradient_and_enumeration(seed):
     prob = manufactured(seed, active_state=bool(seed % 2))
     dm, A, b, cons = setup_case_i(prob, mesh)
     sol = solve_vi(A, b, cons)
-    rows = [cons.state_row, cons.control_row]
-    bounds = [cons.state_bound, cons.control_bound]
+    rows, bounds = list(cons.rows.toarray()), list(cons.lower)
 
     x_pg = projected_gradient(A.toarray(), b, rows, bounds)
     scale = 1 + np.abs(sol.coefficients).max()
@@ -222,11 +220,10 @@ def test_case_i_infeasible_data_raises(unit_cross):
     # contradictory dependent rows make the feasible set empty
     prob = manufactured(2)
     dm, A, b, cons = setup_case_i(prob, unit_cross)
-    cons.control_row = -cons.state_row
-    cons.state_bound = 1.0
-    cons.control_bound = 1.0
+    cons.rows = sp.vstack([cons.rows[0], -cons.rows[0]], format="csr")
+    cons.lower = np.array([1.0, 1.0])
     with pytest.raises(SolverError):
-        solve_case_i(A, b, cons)
+        solve_vi(A, b, cons)
 
 
 # -- box case (PDAS) ------------------------------------------------------
@@ -248,10 +245,10 @@ def test_case_ii_unconstrained_single_iteration(unit_cross):
     dm = DofMap(unit_cross)
     A, b = assemble_system(dm, prob)
     cons = assemble_constraints(dm, prob)
-    sol = solve_case_ii(A, b, cons)
+    sol = solve_vi(A, b, cons)
     assert sol.iterations == 1
-    assert np.all(np.asarray(sol.lam) == 0.0) and sol.mu == 0.0
-    assert np.all(np.asarray(sol.active_control) == 0)
+    assert np.all(sol.lam == 0.0) and sol.mu == 0.0
+    assert np.all(sol.active == 0)
 
 
 def test_case_ii_example4_certificate():
@@ -260,11 +257,11 @@ def test_case_ii_example4_certificate():
     dm = DofMap(mesh)
     A, b = assemble_system(dm, prob)
     cons = assemble_constraints(dm, prob)
-    sol = solve_case_ii(A, b, cons)
+    sol = solve_vi(A, b, cons)
     stat, feas, comp = kkt_residual(A, b, cons, sol)
     assert stat <= 1e-8 and feas <= 1e-9 and comp <= 1e-9
-    lam = np.asarray(sol.lam)
-    act = np.asarray(sol.active_control)
+    lam = sol.lam
+    act = sol.active[1:]
     assert np.all(lam[act == -1] >= -1e-9)
     assert np.all(lam[act == 1] <= 1e-9)
     assert np.all(lam[act == 0] == 0.0)
@@ -285,16 +282,15 @@ def test_case_ii_matches_exhaustive_enumeration(unit_cross, cfg):
     dm = DofMap(unit_cross)
     A, b = assemble_system(dm, prob)
     cons = assemble_constraints(dm, prob)
-    sol = solve_case_ii(A, b, cons)
-    assert sol.active_state == state
-    np.testing.assert_array_equal(sol.active_control, pattern)
+    sol = solve_vi(A, b, cons)
+    assert (sol.active[0] == -1) == state
+    np.testing.assert_array_equal(sol.active[1:], pattern)
     x_ref, mu_ref, lam_ref = exhaustive_box_solve(
-        A.toarray(), b, cons.state_row, cons.state_bound,
-        cons.element_rows, cons.lower, cons.upper)
+        A.toarray(), b, cons.rows, cons.lower, cons.upper)
     scale = 1 + np.abs(x_ref).max()
     assert np.abs(sol.coefficients - x_ref).max() / scale < 1e-8
     assert sol.mu == pytest.approx(mu_ref, abs=1e-7 * (1 + abs(mu_ref)))
-    assert np.allclose(np.asarray(sol.lam), lam_ref,
+    assert np.allclose(sol.lam, lam_ref,
                        atol=1e-7 * (1 + np.abs(lam_ref).max()))
 
 
@@ -308,14 +304,13 @@ def test_case_ii_eight_element_enumeration():
     dm = DofMap(mesh)
     A, b = assemble_system(dm, prob)
     cons = assemble_constraints(dm, prob)
-    sol = solve_case_ii(A, b, cons)
+    sol = solve_vi(A, b, cons)
     # both boxes bind, on every element
-    assert not sol.active_state
-    np.testing.assert_array_equal(sol.active_control,
+    assert sol.active[0] == 0
+    np.testing.assert_array_equal(sol.active[1:],
                                   [-1, 1, 1, 1, 1, -1, -1, -1])
     x_ref, mu_ref, lam_ref = exhaustive_box_solve(
-        A.toarray(), b, cons.state_row, cons.state_bound,
-        cons.element_rows, cons.lower, cons.upper)
+        A.toarray(), b, cons.rows, cons.lower, cons.upper)
     scale = 1 + np.abs(x_ref).max()
     assert np.abs(sol.coefficients - x_ref).max() / scale < 1e-8
 
@@ -327,7 +322,7 @@ def test_case_ii_certificate_on_sixteen_elements():
     dm = DofMap(mesh)
     A, b = assemble_system(dm, prob)
     cons = assemble_constraints(dm, prob)
-    sol = solve_case_ii(A, b, cons)
+    sol = solve_vi(A, b, cons)
     stat, feas, comp = kkt_residual(A, b, cons, sol)
     assert max(stat, feas, comp) <= 1e-9
 
@@ -344,7 +339,7 @@ WARM_START_CASES = {
     # the 16-element certificate problem: nothing binds
     "sixteen": lambda: (box_problem(lo=-2.0, hi=2.0, delta3=-100.0),
                         initial_mesh(0.0, 1.0, 2)),
-    # state row and every upper box bind; the inactive branch fails first
+    # state row and every upper box bind
     "sixteen-state": lambda: (box_problem(lo=-2.0, hi=2.0, delta3=0.3),
                               initial_mesh(0.0, 1.0, 2)),
     "ex4": lambda: (example(4), initial_mesh(0.0, 1.0, 4)),
@@ -354,11 +349,10 @@ WARM_START_CASES = {
 @pytest.mark.parametrize("name", sorted(WARM_START_CASES))
 def test_case_ii_warm_start_from_solution_takes_one_iteration(name):
     A, b, cons = _box_system(*WARM_START_CASES[name]())
-    cold = solve_case_ii(A, b, cons)
-    warm = solve_case_ii(A, b, cons, cold.active_control)
+    cold = solve_vi(A, b, cons)
+    warm = solve_vi(A, b, cons, cold.active)
     assert warm.iterations == 1
-    assert warm.active_state == cold.active_state
-    np.testing.assert_array_equal(warm.active_control, cold.active_control)
+    np.testing.assert_array_equal(warm.active, cold.active)
     scale = np.abs(cold.coefficients).max()
     assert np.abs(warm.coefficients - cold.coefficients).max() <= 1e-12 * scale
 
@@ -366,14 +360,15 @@ def test_case_ii_warm_start_from_solution_takes_one_iteration(name):
 @pytest.mark.parametrize("name", sorted(WARM_START_CASES))
 def test_case_ii_adversarial_guess_reaches_cold_solution(name):
     A, b, cons = _box_system(*WARM_START_CASES[name]())
-    nt = cons.element_rows.shape[0]
-    cold = solve_case_ii(A, b, cons)
+    nt = cons.rows.shape[0] - 1
+    cold = solve_vi(A, b, cons)
     scale = np.abs(cold.coefficients).max()
     rng = np.random.default_rng(8)
-    for guess in (np.ones(nt, dtype=np.int64), rng.integers(-1, 2, nt)):
-        sol = solve_case_ii(A, b, cons, guess)
-        assert sol.active_state == cold.active_state
-        np.testing.assert_array_equal(sol.active_control, cold.active_control)
+    # the state row has no upper bound, so its guess is -1 or 0
+    for guess in (np.r_[-1, np.ones(nt, dtype=np.int64)],
+                  np.r_[0, rng.integers(-1, 2, nt)]):
+        sol = solve_vi(A, b, cons, guess)
+        np.testing.assert_array_equal(sol.active, cold.active)
         assert np.abs(sol.coefficients - cold.coefficients).max() <= (
             1e-12 * scale)
         assert max(kkt_residual(A, b, cons, sol)) <= 1e-9
@@ -396,23 +391,35 @@ def test_case_ii_factors_spd_only_when_a_solve_uses_it(monkeypatch):
     # solve takes the saddle route and A is never factored on its own
     A, b, cons = _box_system(example(4),
                              uniform_refine(initial_mesh(0.0, 1.0, 4), 2))
-    cold = solve_case_ii(A, b, cons)
-    assert np.count_nonzero(cold.active_control) > vi_solver.SCHUR_ROW_LIMIT
+    cold = solve_vi(A, b, cons)
+    assert np.count_nonzero(cold.active) > vi_solver.SCHUR_ROW_LIMIT
     built = _count_spd_factorizations(monkeypatch)
-    warm = solve_case_ii(A, b, cons, cold.active_control)
+    warm = solve_vi(A, b, cons, cold.active)
     assert warm.iterations == 1 and built == []
-    # cold: both state branches run Schur-route solves and share one factor
+    # cold: every step takes the Schur route, and they share one factor
     A, b, cons = _box_system(*WARM_START_CASES["sixteen-state"]())
-    sol = solve_case_ii(A, b, cons)
-    assert sol.active_state and len(built) == 1
+    sol = solve_vi(A, b, cons)
+    assert sol.active[0] == -1 and sol.iterations > 1 and len(built) == 1
 
 
-@pytest.mark.parametrize("guess", [np.zeros(15), np.zeros(17),
-                                   np.zeros((16, 1))])
+# 16 elements: the state row and 16 element rows
+@pytest.mark.parametrize("guess", [np.zeros(16), np.zeros(18),
+                                   np.zeros((17, 1))])
 def test_case_ii_guess_of_wrong_shape_raises(guess):
     A, b, cons = _box_system(*WARM_START_CASES["sixteen"]())
     with pytest.raises(SolverError, match="guess has shape"):
-        solve_case_ii(A, b, cons, guess)
+        solve_vi(A, b, cons, guess)
+
+
+def test_guess_upper_active_without_upper_bound_raises(unit_cross):
+    # the state row and the integral control row have no upper bound, so
+    # a guess cannot pin them there
+    A, b, cons = _box_system(*WARM_START_CASES["sixteen"]())
+    with pytest.raises(SolverError, match="without an upper bound"):
+        solve_vi(A, b, cons, np.r_[1, np.zeros(16, int)])
+    _, A, b, cons = setup_case_i(manufactured(0), unit_cross)
+    with pytest.raises(SolverError, match="without an upper bound"):
+        solve_vi(A, b, cons, np.array([0, 1]))
 
 
 # -- KKT residual ----------------------------------------------------------
@@ -421,16 +428,15 @@ def test_kkt_residual_zero_problem(unit_cross):
     prob = manufactured(0)
     dm, A, b, cons = setup_case_i(prob, unit_cross)
     b = np.zeros_like(b)
-    cons.state_bound = -1.0
-    cons.control_bound = -1.0
-    sol = solve_case_i(A, b, cons)
+    cons.lower = np.array([-1.0, -1.0])
+    sol = solve_vi(A, b, cons)
     assert kkt_residual(A, b, cons, sol) == (0.0, 0.0, 0.0)
 
 
 def test_kkt_residual_detects_perturbation(unit_cross):
     prob = manufactured(1)
     dm, A, b, cons = setup_case_i(prob, unit_cross)
-    sol = solve_case_i(A, b, cons)
+    sol = solve_vi(A, b, cons)
     stat0, _, _ = kkt_residual(A, b, cons, sol)
     assert stat0 <= 1e-8
     sol.coefficients = sol.coefficients.copy()
@@ -442,8 +448,8 @@ def test_kkt_residual_detects_perturbation(unit_cross):
 def test_kkt_residual_keeps_nan_violation(unit_cross):
     # a NaN bound must not read as a satisfied constraint
     _, A, b, cons = setup_case_i(manufactured(1), unit_cross)
-    sol = solve_case_i(A, b, cons)
-    cons.control_bound = np.nan
+    sol = solve_vi(A, b, cons)
+    cons.lower[1] = np.nan          # the control row's bound
     _, feas, comp = kkt_residual(A, b, cons, sol)
     assert np.isnan(feas) and np.isnan(comp)
 
@@ -451,8 +457,8 @@ def test_kkt_residual_keeps_nan_violation(unit_cross):
     dm = DofMap(unit_cross)
     A, b = assemble_system(dm, prob)
     cons = assemble_constraints(dm, prob)
-    sol = solve_case_ii(A, b, cons)
-    cons.upper[0] = np.nan
+    sol = solve_vi(A, b, cons)
+    cons.upper[1] = np.nan          # the first element's upper box
     _, feas, _ = kkt_residual(A, b, cons, sol)
     assert np.isnan(feas)
 
@@ -480,8 +486,7 @@ def test_energy_optimality_under_feasible_perturbations():
     dm, A, b, cons = setup_case_i(prob, mesh)
     sol = solve_vi(A, b, cons)
     x = sol.coefficients
-    rows = [cons.state_row, cons.control_row]
-    bounds = [cons.state_bound, cons.control_bound]
+    rows, bounds = list(cons.rows.toarray()), list(cons.lower)
     J = lambda v: 0.5 * v @ (A @ v) - b @ v
     J0 = J(x)
     rng = np.random.default_rng(9)
@@ -497,8 +502,7 @@ def test_discrete_variational_inequality():
     dm, A, b, cons = setup_case_i(prob, mesh)
     sol = solve_vi(A, b, cons)
     x = sol.coefficients
-    rows = [cons.state_row, cons.control_row]
-    bounds = [cons.state_bound, cons.control_bound]
+    rows, bounds = list(cons.rows.toarray()), list(cons.lower)
     rng = np.random.default_rng(10)
     scale = max(1.0, abs(0.5 * x @ (A @ x) - b @ x))
     for _ in range(20):
@@ -515,8 +519,7 @@ def test_scaling_robustness(unit_cross):
     s = 37.5
     import copy
     cons2 = copy.copy(cons)
-    cons2.state_bound = s * cons.state_bound
-    cons2.control_bound = s * cons.control_bound
+    cons2.lower = s * cons.lower
     sol2 = solve_vi(A, s * b, cons2)
     assert np.allclose(sol2.coefficients, s * sol1.coefficients,
                        rtol=1e-10, atol=1e-10 * np.abs(sol1.coefficients).max())
