@@ -2,7 +2,8 @@
 
 Marking uses the bulk (Doerfler) criterion on squared element indicators:
 the minimal prefix of elements, ordered by decreasing indicator (ties by
-ascending id), whose sum reaches ``theta`` times the total.  Refinement is
+ascending id), whose sum reaches ``theta`` times the total, extended by
+the indicators equal to its last one up to rounding.  Refinement is
 newest-vertex bisection.  Every iteration records DOF count, estimator
 parts, errors against the reference solution when available, multiplier
 summaries, KKT certificates, and wall time.  Each level's PDAS iteration
@@ -29,6 +30,13 @@ logger = logging.getLogger("morley_ocp.adaptive")
 
 # the loop stops after this many iterations even below the DoF budget
 MAX_ITERATIONS = 80
+
+# indicators within this relative distance of the last marked one are
+# marked too: symmetric data on symmetric meshes give indicators that are
+# equal up to the solve's rounding, which reaches 1e-11 relative on the
+# acceptance studies' finest meshes, and which of them rounding puts first
+# must not decide the next mesh
+TIE_TOLERANCE = 1e-10
 
 
 class AdaptiveError(Exception):
@@ -100,8 +108,11 @@ class AdaptiveRun:
 
 
 def doerfler_mark(indicators, theta):
-    """Minimal bulk-criterion element set: sorted by indicator descending
-    (ties by ascending id), the shortest prefix with sum >= theta * total."""
+    """Bulk-criterion element set: sorted by indicator descending (ties by
+    ascending id), the shortest prefix with sum >= theta * total, plus every
+    element whose indicator lies within a relative TIE_TOLERANCE of the last
+    one in that prefix, so a group of equal indicators is never split by
+    rounding."""
     indicators = np.asarray(indicators, dtype=float)
     if not np.all(indicators >= 0):
         raise ValueError("indicators must be nonnegative numbers")
@@ -111,10 +122,11 @@ def doerfler_mark(indicators, theta):
     if not 0.0 < theta < 1.0:
         raise ValueError("theta must lie in (0, 1)")
     order = np.lexsort((np.arange(len(indicators)), -indicators))
-    csum = np.cumsum(indicators[order])
-    k = int(np.searchsorted(csum, theta * total, side="left"))
+    ranked = indicators[order]
+    k = int(np.searchsorted(np.cumsum(ranked), theta * total, side="left"))
     k = min(k, len(indicators) - 1)
-    return np.sort(order[:k + 1])
+    tie = ranked[k] * (1.0 - TIE_TOLERANCE)
+    return np.sort(order[:int(np.searchsorted(-ranked, -tie, side="right"))])
 
 
 def fit_slope(records, window, field_name="eta_h"):

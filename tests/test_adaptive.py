@@ -56,6 +56,19 @@ def test_doerfler_minimality():
     assert ind[rest].sum() < theta * total
 
 
+def test_doerfler_marks_whole_tie_groups():
+    # groups of indicators equal up to their last bits, as symmetric data on
+    # a symmetric mesh give them; the minimal prefix ends inside the group
+    # of 3s, and which of its members rounding puts first must not matter
+    rng = np.random.default_rng(2)
+    ind = rng.permutation(np.repeat([5.0, 3.0, 2.0, 1.0], [2, 4, 3, 5]))
+    marked = doerfler_mark(ind, 0.4)
+    assert set(marked) == set(np.flatnonzero(ind >= 3.0))
+    for _ in range(20):
+        noisy = ind * (1.0 + 1e-15 * rng.uniform(-1.0, 1.0, len(ind)))
+        np.testing.assert_array_equal(doerfler_mark(noisy, 0.4), marked)
+
+
 def test_doerfler_rejects_bad_input():
     with pytest.raises(ValueError):
         doerfler_mark([0.0, 0.0], 0.3)
