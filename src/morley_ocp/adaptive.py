@@ -32,10 +32,8 @@ logger = logging.getLogger("morley_ocp.adaptive")
 MAX_ITERATIONS = 80
 
 # indicators within this relative distance of the last marked one are
-# marked too: symmetric data on symmetric meshes give indicators that are
-# equal up to the solve's rounding, which reaches 1e-11 relative on the
-# acceptance studies' finest meshes, and which of them rounding puts first
-# must not decide the next mesh
+# marked too, so that indicators equal up to the solve's rounding (1e-11
+# relative on the acceptance studies' finest meshes) are never split
 TIE_TOLERANCE = 1e-10
 
 
@@ -109,10 +107,8 @@ class AdaptiveRun:
 
 def doerfler_mark(indicators, theta):
     """Bulk-criterion element set: sorted by indicator descending (ties by
-    ascending id), the shortest prefix with sum >= theta * total, plus every
-    element whose indicator lies within a relative TIE_TOLERANCE of the last
-    one in that prefix, so a group of equal indicators is never split by
-    rounding."""
+    ascending id), the shortest prefix with sum >= theta * total, plus the
+    elements within a relative TIE_TOLERANCE of its last indicator."""
     indicators = np.asarray(indicators, dtype=float)
     if not np.all(indicators >= 0):
         raise ValueError("indicators must be nonnegative numbers")
@@ -142,12 +138,12 @@ def fit_slope(records, window, field_name="eta_h"):
     return float(np.polyfit(x, y, 1)[0])
 
 
-def _lambda_summary(solution):
+def _lambda_summary(solution, case):
     act = solution.active[1:]
     nlo = int(np.sum(act == -1))
     nup = int(np.sum(act == 1))
     lmin, lmax = float(solution.lam.min()), float(solution.lam.max())
-    if solution.case == "integral":
+    if case == "integral":
         return repr(lmin), lmin, lmax, nlo, nup
     return f"min={lmin!r};max={lmax!r};nlo={nlo};nup={nup}", lmin, lmax, nlo, nup
 
@@ -195,7 +191,8 @@ def adaptive_solve(problem, adapt=None):
         wall_ms = 1000.0 * (time.perf_counter() - t0)
 
         etas = breakdown.etas
-        summary, lmin, lmax, nlo, nup = _lambda_summary(solution)
+        summary, lmin, lmax, nlo, nup = _lambda_summary(solution,
+                                                        problem.case)
         rec = RunRecord(
             iteration=it, dofs=dofmap.n_dofs, elements=mesh.n_elements,
             eta_h=breakdown.eta_h, eta1=float(etas[0]), eta2=float(etas[1]),
@@ -234,7 +231,7 @@ def adaptive_solve(problem, adapt=None):
             marked = doerfler_mark(breakdown.element_indicators, adapt.theta)
         mesh = bisect(mesh, marked)
         guess = solution.active
-        if solution.case == "box":
+        if problem.case == "box":
             guess = guess[np.r_[0, 1 + mesh.parent]]
 
     return run

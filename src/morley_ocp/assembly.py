@@ -45,7 +45,6 @@ class ConstraintSet:
     which turns row values into averages.
     """
 
-    case: str
     rows: sp.csr_matrix
     lower: np.ndarray
     upper: np.ndarray
@@ -206,4 +205,4 @@ def assemble_constraints(dofmap: DofMap, problem):
                             f"{problem.case!r}")
     rows = sp.vstack([sp.csr_matrix(state_row), sp.csr_matrix(control)],
                      format="csr")
-    return ConstraintSet(problem.case, rows, lower, upper, sizes)
+    return ConstraintSet(rows, lower, upper, sizes)

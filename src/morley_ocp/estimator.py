@@ -63,17 +63,25 @@ class ErrorReport:
     efficiency_index: Optional[float] = None
 
 
-def eta_interior(dofmap: DofMap, y, mu, lam_elem, problem):
-    """Element terms: interior residual eta1 and multiplier term eta5."""
+def interior_y_d(mesh, problem):
+    """y_d at the interior rule's points, per element: evaluated once per
+    level and shared by eta1 and the oscillation."""
+    X = mesh.physical_points(triangle_rule(INTERIOR_RULE_DEGREE).points)
+    return np.asarray(problem.y_d(X[..., 0], X[..., 1]), dtype=float)
+
+
+def eta_interior(dofmap: DofMap, y, mu, lam_elem, problem, yd):
+    """Element terms: interior residual eta1 and multiplier term eta5;
+    ``yd`` is ``interior_y_d(mesh, problem)``."""
     mesh = dofmap.mesh
     beta = problem.beta
     rule = triangle_rule(INTERIOR_RULE_DEGREE)
-    X = mesh.physical_points(rule.points)
     P = prim_values(rule.points)
     a = dofmap.prim_coefficients(y)
     yh = a @ P.T
-    resid = problem.y_d(X[..., 0], X[..., 1]) + mu - yh
+    resid = yd + mu - yh
     if problem.f_laplacian is not None:
+        X = mesh.physical_points(rule.points)
         resid = resid - beta * problem.f_laplacian(X[..., 0], X[..., 1])
     h = mesh.h_elements
     norm_sq = mesh.areas * ((resid**2) @ rule.weights)
@@ -133,14 +141,12 @@ def eta_edges(dofmap: DofMap, y, beta):
     return eta2, eta3, eta4
 
 
-def data_oscillation(dofmap: DofMap, problem):
-    """Osc(y_d; T) = h_T^2 || y_d - mean_T(y_d) ||_{L2(T)} per element."""
-    mesh = dofmap.mesh
-    rule = triangle_rule(INTERIOR_RULE_DEGREE)
-    X = mesh.physical_points(rule.points)
-    yd = np.asarray(problem.y_d(X[..., 0], X[..., 1]), dtype=float)
-    mean = yd @ rule.weights
-    fluct_sq = mesh.areas * (((yd - mean[:, None])**2) @ rule.weights)
+def data_oscillation(mesh, yd):
+    """Osc(y_d; T) = h_T^2 || y_d - mean_T(y_d) ||_{L2(T)} per element;
+    ``yd`` is ``interior_y_d(mesh, problem)``."""
+    w = triangle_rule(INTERIOR_RULE_DEGREE).weights
+    mean = yd @ w
+    fluct_sq = mesh.areas * (((yd - mean[:, None])**2) @ w)
     return mesh.h_elements**2 * np.sqrt(fluct_sq)
 
 
@@ -162,15 +168,16 @@ def estimate(dofmap: DofMap, solution, problem):
     # the integral case's one control multiplier serves every element
     lam_elem = np.broadcast_to(np.asarray(solution.lam, dtype=float),
                                (mesh.n_elements,))
+    yd = interior_y_d(mesh, problem)
     eta1_sq, eta5_sq = eta_interior(dofmap, solution.coefficients,
-                                    solution.mu, lam_elem, problem)
+                                    solution.mu, lam_elem, problem, yd)
     eta2_sq, eta3_sq, eta4_sq = eta_edges(dofmap, solution.coefficients,
                                           problem.beta)
 
     indicators = add_edge_shares(mesh, eta1_sq + eta5_sq,
                                  eta2_sq + eta3_sq + eta4_sq)
     return EstimatorBreakdown(eta1_sq, eta5_sq, eta2_sq, eta3_sq, eta4_sq,
-                              indicators, data_oscillation(dofmap, problem))
+                              indicators, data_oscillation(mesh, yd))
 
 
 def broken_norms(dofmap: DofMap, y, exact):

@@ -9,15 +9,17 @@ which handles one-sided and two-sided rows alike and can start from a
 given active set; the adaptive loop passes the parent mesh's.
 
 Every matrix is factored by SuperLU in symmetric mode (a fill-reducing
-ordering of ``A + A'`` with diagonal pivots).  Equality-constrained
-subproblems use a Schur complement on a factorization of A, made on first
-use, when few rows are pinned, followed by one correction step that
-restores the pinned rows to rounding level.  When many rows are pinned
-they factor the regularized saddle ``[[A, R'], [R, -eps I]]``, which is
-symmetric quasi-definite (Vanderbei, SIAM J. Optim. 5, 1995), with ``eps``
-derived from the diagonal of A, and refine its answer against the true
-bordered KKT system.  All solves share one iterative-refinement loop that
-certifies the relative residual.  Multipliers follow the sign convention
+ordering of ``A + A'`` with diagonal pivots).  Each equality-constrained
+subproblem is the bordered KKT system ``[[A, R'], [R, 0]]``, and one
+iterative-refinement loop against that true system solves and certifies
+every one of them: it accepts an answer only if its relative residual is
+small.  The loop is preconditioned by one of two approximate inverses.
+When few rows are pinned it is block elimination with a Schur complement
+on a factorization of A, made on first use and shared across the PDAS
+steps.  When many rows are pinned it is a factorization of the
+regularized saddle ``[[A, R'], [R, -eps I]]``, which is symmetric
+quasi-definite (Vanderbei, SIAM J. Optim. 5, 1995), with ``eps`` derived
+from the diagonal of A.  Multipliers follow the sign convention
 ``A x - b - R' nu = 0`` with ``nu = (mu, lam)``, nonnegative on
 lower-active and nonpositive on upper-active rows.
 """
@@ -58,6 +60,13 @@ RESIDUAL_LIMIT = 1e-6
 PDAS_C = 1.0
 PDAS_MAX_ITERATIONS = 50
 
+# switching quantities within this of zero, relative to max(1, |bound
+# averages|), count as zero: on a degenerate row (bound met with a zero
+# multiplier, as ex3's control row) the free row's violation and the
+# pinned row's multiplier are rounding noise of either sign, and switching
+# on that noise can cycle
+PDAS_ROUNDING = 1e-12
+
 
 class SolverError(Exception):
     pass
@@ -78,7 +87,6 @@ class ViSolution:
     lam: np.ndarray
     active: np.ndarray
     iterations: int
-    case: str
 
 
 def _symmetric_splu(M):
@@ -88,32 +96,30 @@ def _symmetric_splu(M):
                      diag_pivot_thresh=0, options={"SymmetricMode": True})
 
 
-def _rel_residual(R, B):
-    denom = np.linalg.norm(B, axis=0)
-    num = np.linalg.norm(R, axis=0)
-    return float(np.max(num / np.where(denom == 0, 1.0, denom)))
+def _rel_residual(r, b):
+    return float(np.linalg.norm(r) / (np.linalg.norm(b) or 1.0))
 
 
-def _refine(K, solve, B):
-    """Solve ``K X = B`` with the approximate inverse ``solve`` plus
-    iterative refinement against ``K``.
+def _refine(matvec, solve, b):
+    """Solve ``K z = b`` with the approximate inverse ``solve`` plus
+    iterative refinement against ``matvec``, the product with ``K``.
 
     Refines until the relative residual meets LINEAR_TOLERANCE or stops
     falling (it no longer halves: the float64 floor of an ill-conditioned
     system), keeps the best iterate, and raises SolverError when that is
     still above RESIDUAL_LIMIT or NaN (a non-finite right-hand side).
     """
-    X = solve(B)
-    R = B - K @ X
-    res = _rel_residual(R, B)
+    z = solve(b)
+    r = b - matvec(z)
+    res = _rel_residual(r, b)
     for _ in range(REFINE_STEPS):
         if res <= LINEAR_TOLERANCE:
             break
-        X1 = X + solve(R)
-        R1 = B - K @ X1
-        res1 = _rel_residual(R1, B)
+        z1 = z + solve(r)
+        r1 = b - matvec(z1)
+        res1 = _rel_residual(r1, b)
         if res1 < res:
-            X, R = X1, R1
+            z, r = z1, r1
         stalled = res1 > 0.5 * res
         res = min(res, res1)
         if stalled:
@@ -124,85 +130,59 @@ def _refine(K, solve, B):
     if res > 1e2 * LINEAR_TOLERANCE:
         logger.debug("linear solve stalled at relative residual %.2e "
                      "(conditioning floor)", res)
-    return X
+    return z
 
 
 class SpdSolver:
-    """Symmetric-mode SuperLU factorization of a sparse SPD matrix; a
-    failed factorization raises SolverError.
-
-    ``solve`` refines iteratively until the relative residual meets
-    LINEAR_TOLERANCE.
-    """
+    """Symmetric-mode SuperLU factorization ``lu`` of a sparse SPD matrix;
+    a failed factorization raises SolverError."""
 
     def __init__(self, A):
-        self.A = A
         try:
-            self._lu = _symmetric_splu(A)
+            self.lu = _symmetric_splu(A)
         except RuntimeError as exc:
             raise SolverError(f"factorization failed ({exc})") from exc
-
-    def solve(self, rhs):
-        rhs = np.asarray(rhs, dtype=float)
-        single = rhs.ndim == 1
-        B = rhs[:, None] if single else rhs
-        X = _refine(self.A, self._lu.solve, B)
-        return X[:, 0] if single else X
-
-
-def _schur(x0, Y, R, targets):
-    """Pin ``R x = targets`` given ``x0 = A^{-1} b`` and ``Y = A^{-1} R'``.
-
-    Returns (x, multipliers).  One correction step with the same ``Y`` and
-    Schur complement brings the pinned rows back to rounding level.
-    """
-    S = np.asarray(R @ Y)
-    x, nu = x0, np.zeros(len(targets))
-    for _ in range(2):
-        try:
-            dnu = np.linalg.solve(S, targets - R @ x)
-        except np.linalg.LinAlgError as exc:
-            raise SolverError("singular Schur complement: dependent active "
-                              "rows") from exc
-        if not np.all(np.isfinite(dnu)):
-            raise SolverError("singular Schur complement: dependent active rows")
-        x, nu = x + Y @ dnu, nu + dnu
-    return x, nu
 
 
 def solve_equality_qp(A, b, rows, targets, solver=None):
     """Minimize 1/2 x'Ax - b'x subject to rows @ x = targets.
 
-    ``rows`` is a sparse (k, n) matrix of linearly independent
-    functionals.  Returns (x, multipliers) with the stationarity convention
-    ``A x - b - rows' @ multipliers = 0``.
+    ``rows`` is a sparse (k, n) matrix of linearly independent functionals
+    and ``solver`` an SpdSolver of A to share.  Returns (x, multipliers)
+    with the stationarity convention ``A x - b - rows' @ multipliers = 0``.
     """
-    targets = np.asarray(targets, dtype=float)
-    k = rows.shape[0]
-    if k == 0:
-        return (solver or SpdSolver(A)).solve(b), np.zeros(0)
+    n, k = A.shape[0], rows.shape[0]
     if k <= SCHUR_ROW_LIMIT:
-        solver = solver or SpdSolver(A)
-        return _schur(solver.solve(b), solver.solve(rows.toarray().T), rows,
-                      targets)
+        # block elimination with Y = A^{-1} R' and the Schur complement R Y
+        lu = (solver or SpdSolver(A)).lu
+        Y = lu.solve(rows.toarray().T)
+        S = np.asarray(rows @ Y)
 
-    n = A.shape[0]
-    eps = SADDLE_REGULARIZATION * float(np.max(np.abs(A.diagonal())))
-    # one copy of the saddle: factor it with -eps on the lower diagonal,
-    # then zero those entries (the last stored entry of each of the last k
-    # sorted columns) and refine against the true bordered system; stored
-    # zeros of A or the rows would change SuperLU's ordering, so none are kept
-    K = sp.bmat([[A, rows.T], [rows, sp.diags(np.full(k, -eps))]],
-                format="csc")
-    K.eliminate_zeros()
-    K.sort_indices()
-    try:
-        lu = _symmetric_splu(K)
-    except RuntimeError as exc:
-        raise SolverError("saddle factorization failed (dependent active "
-                          "rows?)") from exc
-    K.data[K.indptr[n + 1:] - 1] = 0.0
-    sol = _refine(K, lu.solve, np.concatenate([b, targets]))
+        def solve(z):
+            u = lu.solve(z[:n])
+            try:
+                y = np.linalg.solve(S, rows @ u - z[n:])
+            except np.linalg.LinAlgError as exc:
+                raise SolverError("singular Schur complement: dependent "
+                                  "active rows") from exc
+            return np.r_[u - Y @ y, y]
+    else:
+        # the saddle with -eps on the lower diagonal; stored zeros of A or
+        # the rows would change SuperLU's ordering, so none are kept
+        eps = SADDLE_REGULARIZATION * float(np.max(np.abs(A.diagonal())))
+        K = sp.bmat([[A, rows.T], [rows, sp.diags(np.full(k, -eps))]],
+                    format="csc")
+        K.eliminate_zeros()
+        try:
+            solve = _symmetric_splu(K).solve
+        except RuntimeError as exc:
+            raise SolverError("saddle factorization failed (dependent "
+                              "active rows?)") from exc
+
+    def bordered(z):
+        return np.r_[A @ z[:n] + rows.T @ z[n:], rows @ z[:n]]
+
+    sol = _refine(bordered, solve, np.r_[b, targets])
     return sol[:n], -sol[n:]
 
 
@@ -216,9 +196,9 @@ def solve_vi(A, b, constraints: ConstraintSet, guess=None):
 
     Each step pins the active rows to their bounds, solves that equality
     QP, and takes as the next lower (upper) set the rows with
-    ``nu + PDAS_C * (bound - value) / size`` above (below) zero, where
-    ``nu`` is the row's multiplier (zero on free rows), so row averages are
-    compared; it stops when the sets repeat.  ``guess`` is the starting
+    ``nu + PDAS_C * (bound - value) / size`` above (below) zero by more
+    than PDAS_ROUNDING, where ``nu`` is the row's multiplier (zero on free
+    rows), so row averages are compared; it stops when the sets repeat.  ``guess`` is the starting
     active set, -1/0/+1 per row as in ``ViSolution.active`` (None: nothing
     active).  The factor of A is built on first use and shared by every
     step that takes the Schur route.
@@ -236,6 +216,8 @@ def solve_vi(A, b, constraints: ConstraintSet, guess=None):
     spd = functools.cache(lambda: SpdSolver(A))
     q_lo = lower / sizes
     q_up = upper / sizes
+    tol = PDAS_ROUNDING * np.maximum(1.0, np.maximum(
+        np.abs(q_lo), np.abs(np.where(np.isinf(q_up), 0.0, q_up))))
 
     act_lo = guess == -1
     act_up = guess == 1
@@ -249,8 +231,8 @@ def solve_vi(A, b, constraints: ConstraintSet, guess=None):
         nu[pinned] = nu_pinned
 
         q = (rows @ x) / sizes
-        new_lo = nu + PDAS_C * (q_lo - q) > 0
-        new_up = nu + PDAS_C * (q_up - q) < 0
+        new_lo = nu + PDAS_C * (q_lo - q) > tol
+        new_up = nu + PDAS_C * (q_up - q) < -tol
         if logger.isEnabledFor(logging.DEBUG):
             logger.debug("pdas it=%d |A_a|=%d |A_b|=%d stat=%.3e", it,
                          int(new_lo.sum()), int(new_up.sum()),
@@ -258,8 +240,7 @@ def solve_vi(A, b, constraints: ConstraintSet, guess=None):
         if np.array_equal(new_lo, act_lo) and np.array_equal(new_up, act_up):
             return ViSolution(
                 coefficients=x, mu=float(nu[0]), lam=nu[1:],
-                active=act_up.astype(np.int64) - act_lo, iterations=it,
-                case=constraints.case)
+                active=act_up.astype(np.int64) - act_lo, iterations=it)
         sig = (new_lo.tobytes(), new_up.tobytes())
         if sig in seen:
             raise SolverError("primal-dual active set is cycling "

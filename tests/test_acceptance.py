@@ -25,7 +25,7 @@ import pytest
 from morley_ocp.adaptive import AdaptConfig, adaptive_solve, fit_slope
 from morley_ocp.assembly import assemble_constraints, assemble_system
 from morley_ocp.element import DofMap
-from morley_ocp.estimator import eta_edges, eta_interior
+from morley_ocp.estimator import eta_edges, eta_interior, interior_y_d
 from morley_ocp.mesh import bisect, initial_mesh
 from morley_ocp.problems import ProblemSpec, example, manufactured
 from morley_ocp.vi_solver import solve_vi
@@ -141,7 +141,8 @@ def test_criterion_4b_estimator_oracle():
         mu = float(rng.uniform(0, 2))
         lam = rng.uniform(-1, 1, size=mesh.n_elements)
         prob = _poly_problem(beta=float(rng.uniform(0.2, 3.0)))
-        e1, e5 = eta_interior(dm, u, mu, lam, prob)
+        e1, e5 = eta_interior(dm, u, mu, lam, prob,
+                              interior_y_d(mesh, prob))
         e2, e3, e4 = eta_edges(dm, u, prob.beta)
         got = np.array([e1.sum(), e2.sum(), e3.sum(), e4.sum(), e5.sum()])
         want = np.array(estimator_terms(mesh, dm, u, mu, lam, prob)[0])

@@ -151,8 +151,9 @@ def test_control_bound_includes_source_integral():
 def test_box_constraints_and_validation():
     mesh = initial_mesh(0.0, 1.0, 1)
     dm = DofMap(mesh)
-    cons = assemble_constraints(dm, example(4))
-    assert cons.case == "box"
+    problem = example(4)
+    cons = assemble_constraints(dm, problem)
+    assert problem.case == "box" and cons.rows.shape[0] == 1 + mesh.n_elements
     assert np.allclose(cons.lower[1:], 0.0)
     assert np.allclose(cons.upper[1:], 30.0 * mesh.areas)
     # the state row: delta3 below, no upper bound, averaged over |Omega|

@@ -7,7 +7,7 @@ from morley_ocp.assembly import assemble_constraints, assemble_system
 from morley_ocp.element import DofMap
 from morley_ocp.mesh import initial_mesh, uniform_refine
 from morley_ocp.problems import ProblemSpec, example, manufactured
-from morley_ocp.vi_solver import (SolverError, SpdSolver, kkt_residual,
+from morley_ocp.vi_solver import (SolverError, kkt_residual,
                                   solve_equality_qp, solve_vi)
 
 from conftest import random_mesh
@@ -21,18 +21,24 @@ def setup_case_i(problem, mesh):
     return dm, A, b, cons
 
 
-# -- linear solves -------------------------------------------------------
+# -- linear solves: equality QPs without rows ---------------------------
+
+def _no_rows(n):
+    return sp.csr_matrix((0, n))
+
 
 def test_solve_spd_zero_rhs():
     A = sp.csr_matrix(np.diag([1.0, 2.0, 3.0]))
-    assert np.all(SpdSolver(A).solve(np.zeros(3)) == 0)
+    x, nu = solve_equality_qp(A, np.zeros(3), _no_rows(3), [])
+    assert np.all(x == 0) and len(nu) == 0
 
 
 def test_solve_spd_diagonal():
     d = np.array([2.0, 4.0, 8.0, 16.0])
     A = sp.csr_matrix(np.diag(d))
     rhs = np.array([2.0, 4.0, 8.0, 16.0])
-    assert np.allclose(SpdSolver(A).solve(rhs), np.ones(4), atol=1e-14)
+    x, _ = solve_equality_qp(A, rhs, _no_rows(4), [])
+    assert np.allclose(x, np.ones(4), atol=1e-14)
 
 
 def test_solve_spd_random_matrix_residual():
@@ -40,19 +46,21 @@ def test_solve_spd_random_matrix_residual():
     M = rng.standard_normal((50, 50))
     A = sp.csr_matrix(M @ M.T + 50 * np.eye(50))
     b = rng.standard_normal(50)
-    x = SpdSolver(A).solve(b)
+    x, _ = solve_equality_qp(A, b, _no_rows(50), [])
     assert np.linalg.norm(A @ x - b) / np.linalg.norm(b) <= 1e-12
 
 
 def test_singular_factorization_raises():
     with pytest.raises(SolverError, match="factorization failed"):
-        SpdSolver(sp.csr_matrix(np.diag([1.0, 0.0])))
+        solve_equality_qp(sp.csr_matrix(np.diag([1.0, 0.0])), np.ones(2),
+                          _no_rows(2), [])
 
 
 def test_nan_rhs_raises():
     # a NaN residual compares false against every limit; it must not pass
     with pytest.raises(SolverError, match="linear solve failed"):
-        SpdSolver(sp.csr_matrix(np.diag([1.0, 2.0]))).solve([np.nan, 1.0])
+        solve_equality_qp(sp.csr_matrix(np.diag([1.0, 2.0])),
+                          np.array([np.nan, 1.0]), _no_rows(2), [])
 
 
 def test_pdas_iteration_cap_raises(monkeypatch):
@@ -132,11 +140,37 @@ def test_equality_qp_saddle_path_matches_schur(monkeypatch):
         assert len(built) == 1
         assert np.allclose(x1, x2, atol=1e-9)
         assert np.allclose(nu1, nu2, atol=1e-9)
-        # the refined saddle answer satisfies the true KKT system
-        assert np.abs(R @ x2 - targets).max() <= 1e-10 * max(
-            1.0, np.abs(targets).max())
-        r = A @ x2 - b - R.T @ nu2
-        assert np.abs(r).max() <= 1e-9 * np.abs(b).max()
+        # both refined answers satisfy the true KKT system
+        for x, nu in ((x1, nu1), (x2, nu2)):
+            assert np.abs(R @ x - targets).max() <= 1e-10 * max(
+                1.0, np.abs(targets).max())
+            r = A @ x - b - R.T @ nu
+            assert np.abs(r).max() <= 1e-9 * np.abs(b).max()
+
+
+class _PoorLU:
+    """A factor whose solves come back scaled by 0.1: an approximate inverse
+    whose refinement steps shrink the residual by 0.9 at best."""
+
+    def __init__(self, lu):
+        self.lu = lu
+
+    def solve(self, rhs):
+        return 0.1 * self.lu.solve(rhs)
+
+
+def test_poor_approximate_inverse_fails_the_certificate(monkeypatch):
+    # every route is refined against the true bordered system and rejected
+    # when its residual stays above RESIDUAL_LIMIT
+    real = vi_solver._symmetric_splu
+    monkeypatch.setattr(vi_solver, "_symmetric_splu",
+                        lambda M: _PoorLU(real(M)))
+    for case in (_two_row_case, _ex4_pinned_case):
+        A, b, R, targets = case()
+        for limit in (R.shape[0], R.shape[0] - 1):      # Schur, saddle
+            monkeypatch.setattr(vi_solver, "SCHUR_ROW_LIMIT", limit)
+            with pytest.raises(SolverError, match="linear solve failed"):
+                solve_equality_qp(A, b, R, targets)
 
 
 def test_equality_qp_saddle_dependent_rows_raise():
@@ -420,6 +454,26 @@ def test_guess_upper_active_without_upper_bound_raises(unit_cross):
     _, A, b, cons = setup_case_i(manufactured(0), unit_cross)
     with pytest.raises(SolverError, match="without an upper bound"):
         solve_vi(A, b, cons, np.array([0, 1]))
+
+
+def test_degenerate_rows_do_not_stall_pdas():
+    # every row's lower bound is its value at the unconstrained minimizer:
+    # each row is met with a zero multiplier, so started with all rows
+    # pinned, PDAS sees only rounding-level multipliers and violations;
+    # switching on their signs (PDAS_ROUNDING = 0) does not settle in 50
+    # iterations
+    import dataclasses
+    dm = DofMap(uniform_refine(initial_mesh(0.0, 1.0, 4), 2))
+    prob = example(4)
+    A, b = assemble_system(dm, prob)
+    cons = assemble_constraints(dm, prob)
+    x, _ = solve_equality_qp(A, b, cons.rows[:0], [])
+    values = cons.rows @ x
+    cons = dataclasses.replace(cons, lower=values,
+                               upper=np.r_[np.inf, values[1:] + 1.0])
+    sol = solve_vi(A, b, cons, -np.ones(len(values), int))
+    assert not np.any(sol.active) and sol.iterations <= 3
+    assert max(kkt_residual(A, b, cons, sol)) <= 1e-12
 
 
 # -- KKT residual ----------------------------------------------------------
