@@ -100,7 +100,6 @@ class AdaptiveRun:
 
     records: list
     mesh: object = None
-    dofmap: object = None
     solution: object = None
     breakdown: object = None
 
@@ -212,7 +211,7 @@ def adaptive_solve(problem, adapt=None):
             wall_ms=wall_ms,
         )
         records.append(rec)
-        run.mesh, run.dofmap, run.breakdown = mesh, dofmap, breakdown
+        run.mesh, run.breakdown = mesh, breakdown
         run.solution = solution
         logger.info("it=%d dofs=%d eta=%.4e err=%s wall=%.0fms",
                     it, rec.dofs, rec.eta_h,

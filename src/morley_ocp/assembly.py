@@ -4,11 +4,12 @@ The bilinear form is ``beta * (broken Hessian Gram) + mass``; the load is
 ``int y_d w - beta * int f (Delta_h w)``.  Boundary-pinned vertex DOFs are
 eliminated (they never receive a global index).
 
-Hessian and mass element matrices are integrated exactly: every integrand
-is a polynomial of degree at most two (Hessian products) or six (mass), so
-closed-form barycentric integration reproduces what the degree-4 and
-degree-6 rules would give, without the quadrature loop.  The load term
-uses the degree-6 triangle rule.
+The element matrices and the load are formed in the primitive basis of
+``element.py`` and mapped to the nodal basis by each element's ``C``:
+``prim_stiffness`` gives the exact Hessian Gram (from a table of element
+averages of products of the primitive barycentric Hessians) plus the exact
+mass Gram, and ``prim_laplacian_moments`` gives the Laplacians of the
+primitives for the source term.  The load uses the degree-6 triangle rule.
 
 Constraint rows are exact as well: ``int_T w = |T| * Q_T(w)`` touches only
 the element-average DOF, and ``int_T Delta w = sum_e sign * h_e * (edge
@@ -22,7 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .element import DofMap, N_LOCAL, prim_values, triangle_rule, integrate
+from .element import (DofMap, N_LOCAL, integrate, prim_laplacian_moments,
+                      prim_stiffness, prim_values, triangle_rule)
 
 _CHUNK = 8192
 
@@ -51,42 +53,6 @@ class ConstraintSet:
     sizes: np.ndarray
 
 
-def _element_matrices(dofmap: DofMap, beta, sl):
-    """beta * Hessian Gram + mass for the element slice ``sl``."""
-    mesh = dofmap.mesh
-    C = dofmap.C[sl]
-    G = mesh.grad_lambda[sl]
-    area = mesh.areas[sl]
-
-    # Gram of barycentric gradients and the symmetrized outer products
-    # S_ij = G_i (x) G_j + G_j (x) G_i; then S_ij : S_kl =
-    # 2 (M_ik M_jl + M_il M_jk), which covers every primitive Hessian.
-    M = np.einsum("tix,tjx->tij", G, G)
-    pairs = [(0, 0), (1, 1), (2, 2), (0, 1), (1, 2), (0, 2)]
-    SS = np.empty((len(C), 6, 6))
-    for a, (i, j) in enumerate(pairs):
-        for b, (k, l) in enumerate(pairs):
-            SS[:, a, b] = 2.0 * (M[:, i, k] * M[:, j, l] + M[:, i, l] * M[:, j, k])
-
-    PG = np.empty((len(C), N_LOCAL, N_LOCAL))
-    PG[:, :6, :6] = SS
-    # bubble Hessian = l2*S01 + l0*S12 + l1*S02; element averages of the
-    # barycentric weights are 1/3, of their products 1/6 (diag), 1/12 (off)
-    bub_pairs = (3, 4, 5)            # S01, S12, S02 in the `pairs` ordering
-    PG[:, :6, 6] = SS[:, :, bub_pairs].sum(axis=2) / 3.0
-    PG[:, 6, :6] = PG[:, :6, 6]
-    w2 = np.full((3, 3), 1.0 / 12.0)
-    np.fill_diagonal(w2, 1.0 / 6.0)
-    PG[:, 6, 6] = sum(w2[a, b] * SS[:, bub_pairs[a], bub_pairs[b]]
-                      for a in range(3) for b in range(3))
-
-    from .element import _PRIM_MASS
-    local = beta * PG + _PRIM_MASS[None, :, :]
-    K = np.swapaxes(C, 1, 2) @ local @ C
-    K *= area[:, None, None]
-    return 0.5 * (K + np.swapaxes(K, 1, 2))
-
-
 def assemble_system(dofmap: DofMap, problem):
     """Assemble (csr system matrix, load vector) for a ProblemSpec."""
     mesh = dofmap.mesh
@@ -99,7 +65,10 @@ def assemble_system(dofmap: DofMap, problem):
     b = np.zeros(n)
     for start in range(0, mesh.n_elements, _CHUNK):
         sl = slice(start, min(start + _CHUNK, mesh.n_elements))
-        K = _element_matrices(dofmap, beta, sl)
+        C, G, area = dofmap.C[sl], mesh.grad_lambda[sl], mesh.areas[sl]
+        K = np.swapaxes(C, 1, 2) @ prim_stiffness(G, beta) @ C
+        K *= area[:, None, None]
+        K = 0.5 * (K + np.swapaxes(K, 1, 2))
         cd = dofmap.cell_dofs[sl]
 
         ii = np.repeat(cd[:, :, None], N_LOCAL, axis=2)
@@ -117,10 +86,10 @@ def assemble_system(dofmap: DofMap, problem):
         if problem.f is not None:
             fv = np.asarray(problem.f(X[..., 0], X[..., 1]), dtype=float)
             if np.any(fv):
-                load -= beta * _laplacian_moments(mesh.grad_lambda[sl],
-                                                  fv * rule.weights, rule.points)
-        bT = np.einsum("tai,ta->ti", dofmap.C[sl], load)
-        bT *= mesh.areas[sl, None]
+                load -= beta * prim_laplacian_moments(G, fv * rule.weights,
+                                                      rule.points)
+        bT = np.einsum("tai,ta->ti", C, load)
+        bT *= area[:, None]
         keep1 = cd >= 0
         b += np.bincount(cd[keep1], weights=bT[keep1], minlength=n)
 
@@ -131,21 +100,6 @@ def assemble_system(dofmap: DofMap, problem):
     # the summed arrays are views into the larger pre-summation buffers;
     # the copy keeps only arrays of the matrix's own size alive
     return A.copy(), b
-
-
-def _laplacian_moments(G, fw, bary):
-    """(t, 7) weighted sums ``sum_q fw[t, q] * Delta(prim_a)(bary[q])``."""
-    M = np.einsum("tix,tjx->tij", G, G)
-    out = np.empty((len(G), N_LOCAL))
-    # trace of the primitive Hessians: 2 M_ii for squares, 2 M_ij for mixed;
-    # the bubble's is linear in the barycentrics
-    const = np.stack([M[:, 0, 0], M[:, 1, 1], M[:, 2, 2],
-                      M[:, 0, 1], M[:, 1, 2], M[:, 0, 2]], axis=1)
-    out[:, :6] = 2.0 * const * fw.sum(axis=1)[:, None]
-    lam = fw @ bary
-    out[:, 6] = 2.0 * (M[:, 0, 1] * lam[:, 2] + M[:, 1, 2] * lam[:, 0]
-                       + M[:, 0, 2] * lam[:, 1])
-    return out
 
 
 def element_laplacian_rows(dofmap: DofMap):

@@ -16,6 +16,10 @@ neighbors, so vertex values and edge means of the normal derivative are
 single-valued across the mesh.  Boundary vertex values are pinned to zero;
 boundary edge and bubble DOFs stay free.
 
+The exponent table ``_PRIM_EXP`` of the seven primitive monomials is the
+only description of the local basis: their lam-derivatives, element
+averages, mass and Hessian Grams and Laplacian kernels all derive from it.
+
 All evaluation routines are vectorized over elements.
 """
 
@@ -37,9 +41,6 @@ _PRIM_EXP = np.array([
     (1, 1, 0), (0, 1, 1), (1, 0, 1),
     (1, 1, 1),
 ], dtype=np.int64)
-
-# local edge k is opposite vertex k; its endpoints in local numbering
-_EDGE_VERTS = ((1, 2), (2, 0), (0, 1))
 
 
 class ElementError(Exception):
@@ -98,44 +99,49 @@ def triangle_rule(exact_degree):
 # primitive basis in barycentric coordinates
 # ----------------------------------------------------------------------
 
+def _derivative_tables():
+    """(exponents, coefficients) of the primitives and of their first and
+    second lam-derivatives, shaped (7, 3), (7, 3, 3), (7, 3, 3, 3) and
+    (7,), (7, 3), (7, 3, 3).  d/dl_m brings down the power of l_m; an
+    exponent clipped at 0 always carries a zero coefficient."""
+    exp, coef = _PRIM_EXP, np.ones(N_LOCAL)
+    tables = [(exp, coef)]
+    for _ in range(2):
+        coef = coef[..., None] * exp
+        exp = np.maximum(exp[..., None, :] - np.eye(3, dtype=np.int64), 0)
+        tables.append((exp, coef))
+    return tables
+
+
+_PRIM_TABLES = _derivative_tables()
+
+
+def _monomials(lam, order):
+    """Primitive derivatives of the given order at ``lam`` (..., 3)."""
+    exp, coef = _PRIM_TABLES[order]
+    lam = np.asarray(lam, dtype=float)
+    lam = lam.reshape(lam.shape[:-1] + (1,) * (exp.ndim - 1) + (3,))
+    out = coef * np.ones(lam.shape[:-1])
+    # repeated products rather than powers: each monomial is rounded as its
+    # hand-written product l0 * l1 * l2 would be
+    for p in range(1, exp.max() + 1):
+        out = out * np.prod(np.where(exp >= p, lam, 1.0), axis=-1)
+    return out
+
+
 def prim_values(lam):
     """Primitive values; ``lam`` is (..., 3), result (..., 7)."""
-    l0, l1, l2 = lam[..., 0], lam[..., 1], lam[..., 2]
-    return np.stack([l0 * l0, l1 * l1, l2 * l2,
-                     l0 * l1, l1 * l2, l2 * l0,
-                     l0 * l1 * l2], axis=-1)
+    return _monomials(lam, 0)
 
 
 def prim_dlam(lam):
     """d(prim)/d(lam_k); result (..., 7, 3)."""
-    l0, l1, l2 = lam[..., 0], lam[..., 1], lam[..., 2]
-    z = np.zeros_like(l0)
-    rows = [
-        (2 * l0, z, z),
-        (z, 2 * l1, z),
-        (z, z, 2 * l2),
-        (l1, l0, z),
-        (z, l2, l1),
-        (l2, z, l0),
-        (l1 * l2, l0 * l2, l0 * l1),
-    ]
-    return np.stack([np.stack(r, axis=-1) for r in rows], axis=-2)
+    return _monomials(lam, 1)
 
 
 def prim_d2lam(lam):
     """d2(prim)/d(lam_k)d(lam_l); result (..., 7, 3, 3)."""
-    l0, l1, l2 = lam[..., 0], lam[..., 1], lam[..., 2]
-    out = np.zeros(lam.shape[:-1] + (7, 3, 3))
-    out[..., 0, 0, 0] = 2.0
-    out[..., 1, 1, 1] = 2.0
-    out[..., 2, 2, 2] = 2.0
-    out[..., 3, 0, 1] = out[..., 3, 1, 0] = 1.0
-    out[..., 4, 1, 2] = out[..., 4, 2, 1] = 1.0
-    out[..., 5, 0, 2] = out[..., 5, 2, 0] = 1.0
-    out[..., 6, 0, 1] = out[..., 6, 1, 0] = l2
-    out[..., 6, 1, 2] = out[..., 6, 2, 1] = l0
-    out[..., 6, 0, 2] = out[..., 6, 2, 0] = l1
-    return out
+    return _monomials(lam, 2)
 
 
 def bary_monomial_integral(exponents):
@@ -153,6 +159,42 @@ _PRIM_MASS = np.array([[bary_monomial_integral(_PRIM_EXP[i] + _PRIM_EXP[j])
                         for j in range(N_LOCAL)] for i in range(N_LOCAL)])
 
 
+def _hessian_gram_table():
+    """(49, 81) element averages of H_i[a, b] H_j[c, d] over the primitive
+    lam-Hessians H, stored at column (b, c, d, a) so that the product with
+    M[b, c] M[d, a] sums to tr(H_i M H_j M).  The Hessians are affine in
+    lam, so the degree-2 rule is exact."""
+    rule = triangle_rule(2)
+    H = prim_d2lam(rule.points)                            # (q, 7, 3, 3)
+    table = np.einsum("q,qiab,qjcd->ijbcda", rule.weights, H, H)
+    return table.reshape(N_LOCAL * N_LOCAL, 81)
+
+
+_HESS_GRAM = _hessian_gram_table()
+
+# d(prim_d2lam)/d(lam_k), constant since the lam-Hessians are affine
+_D2LAM_SLOPE = prim_d2lam(np.eye(3)) - prim_d2lam(np.zeros(3))   # (3, 7, 3, 3)
+
+
+def prim_stiffness(G, beta):
+    """beta * (Hessian Gram) + mass of the primitives divided by |T|, for
+    elements with barycentric gradients ``G`` (nt, 3, 2); the physical
+    Hessian of a primitive is G' H G, so its Gram is tr(H_i M H_j M) with
+    M = G G'."""
+    M = G @ np.swapaxes(G, 1, 2)
+    MM = (M.reshape(-1, 9, 1) * M.reshape(-1, 1, 9)).reshape(-1, 81)
+    return beta * (MM @ _HESS_GRAM.T).reshape(-1, N_LOCAL, N_LOCAL) + _PRIM_MASS
+
+
+def prim_laplacian_moments(G, fw, bary):
+    """(nt, 7) sums ``sum_q fw[t, q] * Delta(prim_j)(bary[q])`` with
+    ``Delta(prim_j) = prim_d2lam : G G'``."""
+    D2 = prim_d2lam(bary).reshape(len(bary), N_LOCAL * 9)
+    lap = (fw @ D2).reshape(-1, N_LOCAL, 9)
+    M = G @ np.swapaxes(G, 1, 2)
+    return np.einsum("tjm,tm->tj", lap, M.reshape(-1, 9))
+
+
 def _edge_bary(k, s):
     """Barycentric points on local edge k at parameters ``s`` in [0, 1]."""
     lam = np.zeros(s.shape + (3,))
@@ -165,7 +207,7 @@ def _edge_bary(k, s):
 def _edge_mean_dlam():
     """E[k, j, m]: edge-k mean of d(prim_j)/d(lam_m) (exact for the local
     space; the integrands are at most quadratic along an edge)."""
-    rule = edge_rule(5)
+    rule = edge_rule(2)
     E = np.empty((3, N_LOCAL, 3))
     for k in range(3):
         d = prim_dlam(_edge_bary(k, rule.points))    # (n, 7, 3)
@@ -255,19 +297,15 @@ class DofMap:
         return val, grad, hess
 
     def grad_laplacian(self, u):
-        """(nt, 2) gradient of the element-wise Laplacian (constant per
-        element; only the bubble contributes)."""
+        """(nt, 2) gradient of the element-wise Laplacian, constant per
+        element: d(Delta w)/d(lam_k) = (a _D2LAM_SLOPE[k]) : G G', chained
+        with the gradients G."""
         a = self.prim_coefficients(u)
-        return a[:, 6, None] * _bubble_grad_laplacian(self.mesh.grad_lambda)
-
-
-def _bubble_grad_laplacian(G):
-    """grad(Delta(l0 l1 l2)) as a constant per element; G is (nt, 3, 2)."""
-    d01 = np.einsum("tx,tx->t", G[:, 0], G[:, 1])
-    d12 = np.einsum("tx,tx->t", G[:, 1], G[:, 2])
-    d20 = np.einsum("tx,tx->t", G[:, 2], G[:, 0])
-    return 2.0 * (d01[:, None] * G[:, 2] + d12[:, None] * G[:, 0]
-                  + d20[:, None] * G[:, 1])
+        G = self.mesh.grad_lambda
+        M = G @ np.swapaxes(G, 1, 2)
+        dlap = M.reshape(-1, 9) @ _D2LAM_SLOPE.reshape(21, 9).T
+        dlap = np.einsum("tkj,tj->tk", dlap.reshape(-1, 3, N_LOCAL), a)
+        return np.einsum("tk,tkx->tx", dlap, G)
 
 
 # ----------------------------------------------------------------------

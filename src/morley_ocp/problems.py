@@ -73,6 +73,8 @@ class ProblemSpec:
                 raise ProblemError("box case must not carry integral bounds")
         else:
             raise ProblemError(f"unknown case {self.case!r}")
+        if (self.f is None) != (self.f_laplacian is None):
+            raise ProblemError("f and f_laplacian must be given together")
         for name in ("delta1", "delta2", "delta3"):
             value = getattr(self, name)
             if value is not None and not np.isfinite(value):

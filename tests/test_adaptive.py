@@ -6,6 +6,7 @@ import pytest
 from morley_ocp import cli
 from morley_ocp.adaptive import (AdaptConfig, AdaptiveError, RunRecord,
                                  adaptive_solve, doerfler_mark, fit_slope)
+from morley_ocp.element import DofMap
 from morley_ocp.problems import example, manufactured
 from morley_ocp.vi_solver import SolverError
 
@@ -167,7 +168,7 @@ def test_zero_indicators_stop_with_the_record(monkeypatch):
     run = adaptive_solve(manufactured(0),
                          AdaptConfig(max_dofs=10**6, initial_subdivisions=1))
     assert len(run.records) == 1
-    assert run.records[0].dofs == run.dofmap.n_dofs
+    assert run.records[0].dofs == DofMap(run.mesh).n_dofs
     assert run.solution is not None
 
 

@@ -63,6 +63,25 @@ def test_triangle_rule_exactness_vs_factorial_formula(a, b, c):
     assert val == pytest.approx(bary_monomial_integral((a, b, c)), rel=1e-12)
 
 
+# -- primitive basis ---------------------------------------------------
+
+def test_primitive_derivative_tables_match_central_differences():
+    # lam is treated as three independent variables, as in the tables;
+    # the primitives are at most cubic, so the differences are exact up to
+    # h^2 / 6 for the values and up to rounding for the first derivatives
+    from morley_ocp.element import prim_d2lam, prim_dlam, prim_values
+
+    lam = np.random.default_rng(7).random((20, 3))
+    h = 1e-4
+    for k in range(3):
+        e = np.zeros(3)
+        e[k] = h
+        dv = (prim_values(lam + e) - prim_values(lam - e)) / (2 * h)
+        assert np.abs(dv - prim_dlam(lam)[..., k]).max() < 1e-8
+        dd = (prim_dlam(lam + e) - prim_dlam(lam - e)) / (2 * h)
+        assert np.abs(dd - prim_d2lam(lam)[..., k]).max() < 1e-10
+
+
 # -- combined 7-DOF nodal basis ---------------------------------------
 
 def test_seven_dof_duality_identity():

@@ -241,6 +241,19 @@ def test_problem_validation():
                     case="weird", delta1=0.0, delta2=0.0)
 
 
+@pytest.mark.parametrize("f, f_laplacian", [
+    (lambda x, y: 1 + 0 * x, None),
+    (None, lambda x, y: 0 * x),
+])
+def test_source_without_its_laplacian_rejected(f, f_laplacian):
+    # the load uses f and the estimator uses f_laplacian: a spec with one
+    # of them would drop (or invent) the source term in eta1
+    with pytest.raises(ProblemError, match="f_laplacian"):
+        ProblemSpec(name="bad", domain=(0, 0, 1, 1), beta=1.0,
+                    y_d=lambda x, y: x, f=f, f_laplacian=f_laplacian,
+                    case="integral", delta1=0.0, delta2=0.0)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 @pytest.mark.parametrize("case, bounds, name", [
     ("integral", {"delta1": 0.0, "delta2": 0.0}, "delta1"),
