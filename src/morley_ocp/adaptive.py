@@ -5,17 +5,18 @@ the minimal prefix of elements, ordered by decreasing indicator (ties by
 ascending id), whose sum reaches ``theta`` times the total, extended by
 the indicators equal to its last one up to rounding.  Refinement is
 newest-vertex bisection.  Every iteration records DOF count, estimator
-parts, errors against the reference solution when available, multiplier
-summaries, KKT certificates, and wall time.  Each level's PDAS iteration
-starts from the previous level's active set; in the box case the element
-rows carry it to the children through ``Mesh.parent``.
+parts, errors against the reference solution when available, the control
+multipliers' range and active-set sizes, KKT certificates, and wall time.
+Each level's PDAS iteration starts from the previous level's active set;
+in the box case the element rows carry it to the children through
+``Mesh.parent``.
 """
 
 from __future__ import annotations
 
 import logging
 import time
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -77,7 +78,6 @@ class RunRecord:
     h2_error: Optional[float] = None
     eff_index: Optional[float] = None
     mu_h: float = 0.0
-    lambda_summary: str = ""
     lambda_min: float = 0.0
     lambda_max: float = 0.0
     n_active_lower: int = 0
@@ -89,9 +89,6 @@ class RunRecord:
     solver_iterations: int = 0
     osc: float = 0.0
     wall_ms: float = 0.0
-
-    def to_dict(self):
-        return asdict(self)
 
 
 @dataclass
@@ -137,16 +134,6 @@ def fit_slope(records, window, field_name="eta_h"):
     return float(np.polyfit(x, y, 1)[0])
 
 
-def _lambda_summary(solution, case):
-    act = solution.active[1:]
-    nlo = int(np.sum(act == -1))
-    nup = int(np.sum(act == 1))
-    lmin, lmax = float(solution.lam.min()), float(solution.lam.max())
-    if case == "integral":
-        return repr(lmin), lmin, lmax, nlo, nup
-    return f"min={lmin!r};max={lmax!r};nlo={nlo};nup={nup}", lmin, lmax, nlo, nup
-
-
 def solve_on_mesh(problem, mesh, guess=None):
     """One SOLVE+ESTIMATE pass; returns (dofmap, solution, breakdown,
     error_report, kkt).  ``guess`` is the starting active set, per
@@ -160,7 +147,7 @@ def solve_on_mesh(problem, mesh, guess=None):
     report = None
     if problem.exact is not None:
         report = true_error(dofmap, solution.coefficients, problem.exact,
-                            problem.beta, eta_h=breakdown.eta_h)
+                            problem.beta)
     return dofmap, solution, breakdown, report, kkt
 
 
@@ -189,20 +176,22 @@ def adaptive_solve(problem, adapt=None):
                                 "elements", it) from exc
         wall_ms = 1000.0 * (time.perf_counter() - t0)
 
-        etas = breakdown.etas
-        summary, lmin, lmax, nlo, nup = _lambda_summary(solution,
-                                                        problem.case)
+        etas, eta_h = breakdown.etas, breakdown.eta_h
+        err = None if report is None else report.energy_error
+        act = solution.active[1:]
         rec = RunRecord(
             iteration=it, dofs=dofmap.n_dofs, elements=mesh.n_elements,
-            eta_h=breakdown.eta_h, eta1=float(etas[0]), eta2=float(etas[1]),
+            eta_h=eta_h, eta1=float(etas[0]), eta2=float(etas[1]),
             eta3=float(etas[2]), eta4=float(etas[3]), eta5=float(etas[4]),
-            energy_error=None if report is None else report.energy_error,
+            energy_error=err,
             l2_error=None if report is None else report.l2_error,
             h2_error=None if report is None else report.h2_broken_seminorm_error,
-            eff_index=None if report is None else report.efficiency_index,
-            mu_h=float(solution.mu), lambda_summary=summary,
-            lambda_min=lmin, lambda_max=lmax,
-            n_active_lower=nlo, n_active_upper=nup,
+            eff_index=eta_h / err if err else None,
+            mu_h=float(solution.mu),
+            lambda_min=float(solution.lam.min()),
+            lambda_max=float(solution.lam.max()),
+            n_active_lower=int(np.count_nonzero(act == -1)),
+            n_active_upper=int(np.count_nonzero(act == 1)),
             state_active=bool(solution.active[0]),
             kkt_stationarity=kkt[0], kkt_feasibility=kkt[1],
             kkt_complementarity=kkt[2],

@@ -14,11 +14,13 @@ import argparse
 import json
 import logging
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 CSV_COLUMNS = ["iter", "dofs", "eta_h", "eta1", "eta2", "eta3", "eta4",
                "eta5", "energy_error", "l2_error", "eff_index", "mu_h",
-               "lambda_summary", "wall_ms"]
+               "lambda_min", "lambda_max", "n_active_lower", "n_active_upper",
+               "wall_ms"]
 
 _PALETTE = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e",
             "#8c564b", "#17becf", "#7f7f7f"]
@@ -192,13 +194,13 @@ def run_solve(args):
                + ("-uniform" if args.uniform else ""))
     out.mkdir(parents=True, exist_ok=True)
     det = deterministic_mode()
-    records = [dict(r.to_dict(), wall_ms=0.0) if det else r.to_dict()
+    records = [dict(asdict(r), wall_ms=0.0) if det else asdict(r)
                for r in run.records]
     rows = _record_rows(records)
     _write_csv(out / "convergence.csv", rows, CSV_COLUMNS)
 
     payload = {
-        "schema": "morley-ocp-run-1",
+        "schema": "morley-ocp-run-2",
         "config": {
             "problem": args.problem, "seed": args.seed,
             "theta": args.theta, "max_dofs": args.max_dofs,

@@ -172,9 +172,6 @@ def _hessian_gram_table():
 
 _HESS_GRAM = _hessian_gram_table()
 
-# d(prim_d2lam)/d(lam_k), constant since the lam-Hessians are affine
-_D2LAM_SLOPE = prim_d2lam(np.eye(3)) - prim_d2lam(np.zeros(3))   # (3, 7, 3, 3)
-
 
 def prim_stiffness(G, beta):
     """beta * (Hessian Gram) + mass of the primitives divided by |T|, for
@@ -295,17 +292,6 @@ class DofMap:
         Gq = G[:, None]
         hess = np.swapaxes(Gq, 2, 3) @ hl @ Gq
         return val, grad, hess
-
-    def grad_laplacian(self, u):
-        """(nt, 2) gradient of the element-wise Laplacian, constant per
-        element: d(Delta w)/d(lam_k) = (a _D2LAM_SLOPE[k]) : G G', chained
-        with the gradients G."""
-        a = self.prim_coefficients(u)
-        G = self.mesh.grad_lambda
-        M = G @ np.swapaxes(G, 1, 2)
-        dlap = M.reshape(-1, 9) @ _D2LAM_SLOPE.reshape(21, 9).T
-        dlap = np.einsum("tkj,tj->tk", dlap.reshape(-1, 3, N_LOCAL), a)
-        return np.einsum("tk,tkx->tx", dlap, G)
 
 
 # ----------------------------------------------------------------------

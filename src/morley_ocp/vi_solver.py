@@ -91,9 +91,15 @@ class ViSolution:
 
 def _symmetric_splu(M):
     """SuperLU in symmetric mode: minimum-degree ordering of ``M + M'`` and
-    diagonal pivots, for SPD and symmetric quasi-definite matrices."""
-    return spla.splu(M.tocsc(), permc_spec="MMD_AT_PLUS_A",
-                     diag_pivot_thresh=0, options={"SymmetricMode": True})
+    diagonal pivots, for SPD and symmetric quasi-definite matrices.  A
+    singular factor (RuntimeError) or a failed allocation inside SuperLU
+    (SystemError, "malloc fails ...") raises SolverError."""
+    try:
+        return spla.splu(M.tocsc(), permc_spec="MMD_AT_PLUS_A",
+                         diag_pivot_thresh=0,
+                         options={"SymmetricMode": True})
+    except (RuntimeError, SystemError) as exc:
+        raise SolverError(f"factorization failed ({exc})") from exc
 
 
 def _rel_residual(r, b):
@@ -138,10 +144,7 @@ class SpdSolver:
     a failed factorization raises SolverError."""
 
     def __init__(self, A):
-        try:
-            self.lu = _symmetric_splu(A)
-        except RuntimeError as exc:
-            raise SolverError(f"factorization failed ({exc})") from exc
+        self.lu = _symmetric_splu(A)
 
 
 def solve_equality_qp(A, b, rows, targets, solver=None):
@@ -173,11 +176,7 @@ def solve_equality_qp(A, b, rows, targets, solver=None):
         K = sp.bmat([[A, rows.T], [rows, sp.diags(np.full(k, -eps))]],
                     format="csc")
         K.eliminate_zeros()
-        try:
-            solve = _symmetric_splu(K).solve
-        except RuntimeError as exc:
-            raise SolverError("saddle factorization failed (dependent "
-                              "active rows?)") from exc
+        solve = _symmetric_splu(K).solve
 
     def bordered(z):
         return np.r_[A @ z[:n] + rows.T @ z[n:], rows @ z[:n]]

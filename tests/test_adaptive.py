@@ -130,7 +130,7 @@ def test_deterministic_records():
     r2 = adaptive_solve(manufactured(2), cfg).records
     assert len(r1) == len(r2)
     for a, b in zip(r1, r2):
-        da, db = a.to_dict(), b.to_dict()
+        da, db = dataclasses.asdict(a), dataclasses.asdict(b)
         da.pop("wall_ms")
         db.pop("wall_ms")
         assert da == db
@@ -223,6 +223,26 @@ def test_out_of_memory_is_a_solver_failure(monkeypatch, capsys, tmp_path):
     assert not (tmp_path / "run").exists()
 
 
+def test_superlu_malloc_failure_is_a_solver_failure(monkeypatch, capsys,
+                                                    tmp_path):
+    # SuperLU reports a failed allocation as SystemError ("malloc fails for
+    # local dworkptr[]"); it must end as AdaptiveError and exit code 3
+    from morley_ocp import vi_solver
+
+    def splu(*args, **kwargs):
+        raise SystemError("malloc fails for local dworkptr[].")
+
+    monkeypatch.setattr(vi_solver.spla, "splu", splu)
+    with pytest.raises(AdaptiveError, match="factorization failed") as info:
+        adaptive_solve(manufactured(0), AdaptConfig(initial_subdivisions=1))
+    assert info.value.iteration == 0
+
+    code = cli.run(["solve", "--problem", "manufactured", "--subdivisions",
+                    "1", "--out", str(tmp_path / "run")])
+    assert code == 3
+    assert "solver failure: iteration 0" in capsys.readouterr().err
+
+
 def test_nan_data_fail_the_first_iteration():
     # NaN data must not end as a normal study with eta_h = nan and a stop
     # on "all element indicators are zero"
@@ -251,8 +271,12 @@ def test_warm_start_keeps_the_study_and_saves_iterations(monkeypatch, name):
     cold = adaptive_solve(problem, cfg).records
     assert [r.dofs for r in warm] == [r.dofs for r in cold]
     assert [r.state_active for r in warm] == [r.state_active for r in cold]
-    assert ([r.lambda_summary for r in warm]
-            == [r.lambda_summary for r in cold])
+    for key in ("n_active_lower", "n_active_upper"):
+        assert [getattr(r, key) for r in warm] == [getattr(r, key) for r in cold]
+    for key in ("lambda_min", "lambda_max"):
+        np.testing.assert_allclose([getattr(r, key) for r in warm],
+                                   [getattr(r, key) for r in cold],
+                                   rtol=1e-9, atol=1e-12)
     np.testing.assert_allclose([r.eta_h for r in warm],
                                [r.eta_h for r in cold], rtol=1e-12)
     assert (sum(r.solver_iterations for r in warm)

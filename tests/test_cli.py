@@ -40,7 +40,8 @@ def test_solve_outputs_and_monotone_dofs(ex1_run):
     header, rows = read_csv(ex1_run / "convergence.csv")
     assert header == ["iter", "dofs", "eta_h", "eta1", "eta2", "eta3",
                       "eta4", "eta5", "energy_error", "l2_error",
-                      "eff_index", "mu_h", "lambda_summary", "wall_ms"]
+                      "eff_index", "mu_h", "lambda_min", "lambda_max",
+                      "n_active_lower", "n_active_upper", "wall_ms"]
     assert len(rows) >= 5
     dofs = [int(r["dofs"]) for r in rows]
     assert all(b > a for a, b in zip(dofs, dofs[1:]))
@@ -55,7 +56,10 @@ def test_ex4_error_columns_empty(ex4_run):
     assert all(r["energy_error"] == "" for r in rows)
     assert all(r["eff_index"] == "" for r in rows)
     assert all(float(r["eta_h"]) > 0 for r in rows)
-    assert all(";" in r["lambda_summary"] for r in rows)
+    assert all(float(r["lambda_min"]) <= float(r["lambda_max"])
+               for r in rows)
+    assert any(int(r["n_active_lower"]) + int(r["n_active_upper"]) > 0
+               for r in rows)
 
 
 def test_csv_json_roundtrip(ex1_run):
@@ -65,6 +69,8 @@ def test_csv_json_roundtrip(ex1_run):
     for row, rec in zip(rows, payload["records"]):
         for csv_key, json_key in (("dofs", "dofs"), ("eta_h", "eta_h"),
                                   ("eta3", "eta3"), ("mu_h", "mu_h"),
+                                  ("lambda_min", "lambda_min"),
+                                  ("n_active_lower", "n_active_lower"),
                                   ("wall_ms", "wall_ms"),
                                   ("energy_error", "energy_error")):
             cell = row[csv_key]

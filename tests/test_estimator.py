@@ -248,7 +248,7 @@ def test_true_error_reproduction(unit_cross):
             np.array([[-2.0, 0.0], [0.0, 0.0]]),
             np.shape(np.asarray(x)) + (2, 2)))
     u = interpolate(dm, q.value, q.gradient)
-    rep = true_error(dm, u, q, beta=1.0, eta_h=1.0)
+    rep = true_error(dm, u, q, beta=1.0)
     assert rep.energy_error <= 1e-10
     assert rep.l2_error <= 1e-11
 
@@ -264,7 +264,6 @@ def test_true_error_zero_function_ex3():
     assert rep.l2_error == pytest.approx(1.0 / (2 * np.pi**2), rel=1e-9)
     assert rep.energy_error == pytest.approx(
         np.sqrt(1.0 + 1.0 / (4 * np.pi**4)), rel=1e-9)
-    assert rep.efficiency_index is None
 
 
 def test_oscillation_reported_not_added(unit_cross):
