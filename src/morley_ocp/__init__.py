@@ -33,7 +33,7 @@ def _pin_threads():
 _pin_threads()  # before any numpy import below
 
 from .mesh import Mesh, MeshError, bisect, initial_mesh, uniform_refine  # noqa: E402
-from .element import DofMap, QuadratureRule, integrate  # noqa: E402
+from .element import DofMap, integrate  # noqa: E402
 from .assembly import (ConstraintSet, assemble_constraints,  # noqa: E402
                        assemble_system, element_laplacian_rows)
 from .vi_solver import (SolverError, SpdSolver, ViSolution,  # noqa: E402
@@ -41,13 +41,13 @@ from .vi_solver import (SolverError, SpdSolver, ViSolution,  # noqa: E402
 from .estimator import (ErrorReport, EstimatorBreakdown, estimate,  # noqa: E402
                         eta_edges, eta_interior, true_error)
 from .adaptive import (AdaptConfig, AdaptiveError, AdaptiveRun, RunRecord,  # noqa: E402
-                       adaptive_solve, doerfler_mark, fit_slope, solve_on_mesh)
+                       adaptive_solve, doerfler_mark, solve_on_mesh)
 from .problems import (ExactSolution, ProblemSpec, example,  # noqa: E402
                        manufactured)
 
 __all__ = [
     "Mesh", "MeshError", "bisect", "initial_mesh", "uniform_refine",
-    "DofMap", "QuadratureRule", "integrate",
+    "DofMap", "integrate",
     "ConstraintSet", "assemble_constraints", "assemble_system",
     "element_laplacian_rows",
     "SolverError", "SpdSolver", "ViSolution",
@@ -55,7 +55,7 @@ __all__ = [
     "ErrorReport", "EstimatorBreakdown", "estimate", "eta_edges",
     "eta_interior", "true_error",
     "AdaptConfig", "AdaptiveError", "AdaptiveRun", "RunRecord",
-    "adaptive_solve", "doerfler_mark", "fit_slope", "solve_on_mesh",
+    "adaptive_solve", "doerfler_mark", "solve_on_mesh",
     "ExactSolution", "ProblemSpec", "example", "manufactured",
     "deterministic_mode",
 ]

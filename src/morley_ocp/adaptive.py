@@ -121,19 +121,6 @@ def doerfler_mark(indicators, theta):
     return np.sort(order[:int(np.searchsorted(-ranked, -tie, side="right"))])
 
 
-def fit_slope(records, window, field_name="eta_h"):
-    """Least-squares slope of log(field) vs log(dofs) over the last
-    ``window`` records."""
-    if window < 2:
-        raise ValueError("window must be >= 2")
-    if len(records) < window:
-        raise ValueError(f"need at least {window} records, got {len(records)}")
-    tail = records[-window:]
-    x = np.log([r.dofs for r in tail])
-    y = np.log([getattr(r, field_name) for r in tail])
-    return float(np.polyfit(x, y, 1)[0])
-
-
 def solve_on_mesh(problem, mesh, guess=None):
     """One SOLVE+ESTIMATE pass; returns (dofmap, solution, breakdown,
     error_report, kkt).  ``guess`` is the starting active set, per

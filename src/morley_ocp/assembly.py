@@ -96,9 +96,8 @@ def assemble_system(dofmap: DofMap, problem):
     A = sp.coo_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
         shape=(n, n)).tocsr()
-    A.sum_duplicates()
-    # the summed arrays are views into the larger pre-summation buffers;
-    # the copy keeps only arrays of the matrix's own size alive
+    # tocsr sums the duplicates into views of the larger pre-summation
+    # buffers; the copy keeps only arrays of the matrix's own size alive
     return A.copy(), b
 
 

@@ -9,9 +9,12 @@ degrees of freedom are
   edge normal), and
 * the element average ``Q_T(w) = (1/|T|) int_T w``.
 
-Because the bubble has nonzero edge-mean normal derivatives, the nodal
-basis comes from inverting the full 7x7 matrix of DOF functionals applied
-to a primitive monomial basis; vertex and edge DOFs are shared between
+The vertex and average functionals are the same on every element, and
+the edge-k mean of the normal derivative of ``p`` is
+``g_k R_k(p) + s_k (p(v_{k+1}) - p(v_{k+2}))`` with ``R_k`` a fixed edge
+mean in lam and ``g_k``, ``s_k`` geometric, so the nodal basis is one
+reference inverse times a sparse per-element transform (Kirby, SMAI J.
+Comput. Math. 4, 2018).  Vertex and edge DOFs are shared between
 neighbors, so vertex values and edge means of the normal derivative are
 single-valued across the mesh.  Boundary vertex values are pinned to zero;
 boundary edge and bubble DOFs stay free.
@@ -200,7 +203,6 @@ def _edge_bary(k, s):
     return lam
 
 
-@lru_cache(maxsize=None)
 def _edge_mean_dlam():
     """E[k, j, m]: edge-k mean of d(prim_j)/d(lam_m) (exact for the local
     space; the integrands are at most quadratic along an edge)."""
@@ -210,6 +212,14 @@ def _edge_mean_dlam():
         d = prim_dlam(_edge_bary(k, rule.points))    # (n, 7, 3)
         E[k] = np.einsum("q,qjm->jm", rule.weights, d)
     return E
+
+
+# nodal basis of the DOF rows shared by every element: vertex values, the
+# edge-k means R_k of (d_k - d_{k+1} / 2 - d_{k+2} / 2) and the average
+_C_REF = np.linalg.inv(np.vstack([
+    prim_values(np.eye(3)),
+    np.einsum("kjm,km->kj", _edge_mean_dlam(), 1.5 * np.eye(3) - 0.5),
+    _PRIM_QT]))
 
 
 # ----------------------------------------------------------------------
@@ -242,28 +252,17 @@ class DofMap:
         self.cell_dofs[:, 3:6] = self.edge_dof[mesh.elem_edges]
         self.cell_dofs[:, 6] = self.bubble_dof
 
-        try:
-            self.C = np.linalg.inv(self._dof_matrices())
-        except np.linalg.LinAlgError as exc:
-            raise ElementError("singular local DOF system (degenerate "
-                               "triangle)") from exc
-
-    def _dof_matrices(self):
-        mesh = self.mesh
-        nt = mesh.n_elements
-        D = np.zeros((nt, N_LOCAL, N_LOCAL))
-        # vertex values: prim_j at vertex i
-        vert_lam = np.eye(3)
-        D[:, :3, :] = prim_values(vert_lam)[None, :, :]
-        # edge means of the normal derivative, signed by the global normal
-        E = _edge_mean_dlam()
-        G = mesh.grad_lambda                                   # (nt, 3, 2)
-        N = mesh.edge_normals[mesh.elem_edges]                 # (nt, 3, 2)
-        GN = np.einsum("tmx,tkx->tkm", G, N)
-        D[:, 3:6, :] = np.einsum("kjm,tkm->tkj", E, GN)
-        # element average
-        D[:, 6, :] = _PRIM_QT[None, :]
-        return D
+        # with GN[t, k, m] = grad(lam_m) . n_k summing to zero over m, the
+        # edge-k row is g_k R_k + s_k (vertex k+1 row - vertex k+2 row)
+        GN = np.einsum("tmx,tkx->tkm", mesh.grad_lambda,
+                       mesh.edge_normals[mesh.elem_edges])
+        k, k1, k2 = np.arange(3), [1, 2, 0], [2, 0, 1]
+        g = GN[:, k, k]
+        s = 0.5 * (GN[:, k, k1] - GN[:, k, k2])
+        Minv = np.tile(np.eye(N_LOCAL), (nt, 1, 1))
+        Minv[:, k + 3, k + 3] = 1.0 / g
+        Minv[:, k + 3, k1], Minv[:, k + 3, k2] = -s / g, s / g
+        self.C = _C_REF @ Minv
 
     # -- coefficient gathering -------------------------------------------
 

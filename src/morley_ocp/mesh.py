@@ -53,6 +53,7 @@ class Mesh:
     edge_elements : (ne, 2) int array, [plus, minus]; minus is -1 on the
         boundary
     edge_normals : (ne, 2) float array, unit normals (outward on boundary)
+    interior_edges : (ne,) bool array, True where an edge has two elements
     elem_edges : (nt, 3) int array, global edge id of local edge k
     vertex_on_boundary : (nv,) bool array
     parent : (nt,) int array or None; for a mesh made by :func:`bisect`,
@@ -78,7 +79,8 @@ class Mesh:
         self._build_topology()
         for a in (self.vertices, self.elements, self.refinement_edge,
                   self.edges, self.edge_elements, self.edge_normals,
-                  self.elem_edges, self.vertex_on_boundary, self.parent):
+                  self.interior_edges, self.elem_edges,
+                  self.vertex_on_boundary, self.parent):
             if a is not None:
                 a.flags.writeable = False
 
@@ -139,7 +141,7 @@ class Mesh:
         self.edge_elements = adj
         self.edge_normals = normals
         self.edge_lengths = lengths
-        self._boundary_edges = boundary
+        self.interior_edges = ~boundary
 
         vb = np.zeros(len(self.vertices), dtype=bool)
         vb[uniq[boundary].ravel()] = True
@@ -158,14 +160,6 @@ class Mesh:
     @property
     def n_edges(self):
         return len(self.edges)
-
-    @property
-    def boundary_edges(self):
-        return self._boundary_edges
-
-    @property
-    def interior_edges(self):
-        return ~self._boundary_edges
 
     # -- geometry -----------------------------------------------------
 

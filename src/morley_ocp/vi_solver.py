@@ -147,17 +147,18 @@ class SpdSolver:
         self.lu = _symmetric_splu(A)
 
 
-def solve_equality_qp(A, b, rows, targets, solver=None):
+def solve_equality_qp(A, b, rows, targets, spd=None):
     """Minimize 1/2 x'Ax - b'x subject to rows @ x = targets.
 
     ``rows`` is a sparse (k, n) matrix of linearly independent functionals
-    and ``solver`` an SpdSolver of A to share.  Returns (x, multipliers)
-    with the stationarity convention ``A x - b - rows' @ multipliers = 0``.
+    and ``spd`` a factory returning a shared SpdSolver of A, called only on
+    the Schur route (None: factor A here).  Returns (x, multipliers) with
+    the stationarity convention ``A x - b - rows' @ multipliers = 0``.
     """
     n, k = A.shape[0], rows.shape[0]
     if k <= SCHUR_ROW_LIMIT:
         # block elimination with Y = A^{-1} R' and the Schur complement R Y
-        lu = (solver or SpdSolver(A)).lu
+        lu = (spd() if spd else SpdSolver(A)).lu
         Y = lu.solve(rows.toarray().T)
         S = np.asarray(rows @ Y)
 
@@ -224,8 +225,7 @@ def solve_vi(A, b, constraints: ConstraintSet, guess=None):
     for it in range(1, PDAS_MAX_ITERATIONS + 1):
         pinned = np.r_[np.flatnonzero(act_lo), np.flatnonzero(act_up)]
         targets = np.r_[lower[act_lo], upper[act_up]]
-        solver = spd() if len(pinned) <= SCHUR_ROW_LIMIT else None
-        x, nu_pinned = solve_equality_qp(A, b, rows[pinned], targets, solver)
+        x, nu_pinned = solve_equality_qp(A, b, rows[pinned], targets, spd)
         nu = np.zeros(m)
         nu[pinned] = nu_pinned
 

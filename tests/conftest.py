@@ -40,6 +40,19 @@ def random_mesh(seed, max_elements=16, domain=(0.0, 1.0)):
         mesh = nxt
 
 
+def fit_slope(records, window, field_name="eta_h"):
+    """Least-squares slope of log(field) vs log(dofs) over the last
+    ``window`` records."""
+    if window < 2:
+        raise ValueError("window must be >= 2")
+    if len(records) < window:
+        raise ValueError(f"need at least {window} records, got {len(records)}")
+    tail = records[-window:]
+    x = np.log([r.dofs for r in tail])
+    y = np.log([getattr(r, field_name) for r in tail])
+    return float(np.polyfit(x, y, 1)[0])
+
+
 @pytest.fixture
 def unit_cross():
     return initial_mesh(0.0, 1.0, 1)

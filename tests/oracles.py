@@ -6,9 +6,11 @@ the local dual systems, dense assembly, estimator terms by direct
 quadrature, and two independent optimizers (accelerated projected
 gradient, exhaustive active-set enumeration).  Only mesh/DOF bookkeeping
 conventions are taken from the package, since those conventions are what
-is being verified.  The one exception, ``eval_function_einsum``, reuses the
-package's primitive basis: it checks only the contraction order of
-``DofMap.eval_function``.
+is being verified.  Two exceptions reuse the package's primitive basis:
+``dof_matrices`` applies the seven DOF functionals to it element by element
+(its inverse is the nodal basis ``DofMap`` builds by a transform of one
+reference inverse), and ``eval_function_einsum`` checks only the
+contraction order of ``DofMap.eval_function``.
 
 The last section holds tools of the method's analysis that the solver
 loop never calls: the interpolation operator I_h (it uses the package's
@@ -24,7 +26,8 @@ import numpy as np
 
 import morley_ocp.mesh as mesh_module
 
-from morley_ocp.element import (edge_rule, prim_d2lam, prim_dlam, prim_values,
+from morley_ocp.element import (N_LOCAL, _PRIM_QT, _edge_mean_dlam, edge_rule,
+                                prim_d2lam, prim_dlam, prim_values,
                                 triangle_rule)
 
 
@@ -165,6 +168,21 @@ class OracleElement:
 def local_coeffs(dofmap, u, t):
     cd = dofmap.cell_dofs[t]
     return np.array([0.0 if d < 0 else u[d] for d in cd])
+
+
+def dof_matrices(dofmap):
+    """(nt, 7, 7) DOF functionals applied to the primitives, row i on
+    primitive j: vertex values, edge means of the normal derivative signed
+    by the global normal, element average.  ``DofMap.C`` is its inverse."""
+    mesh = dofmap.mesh
+    D = np.zeros((mesh.n_elements, N_LOCAL, N_LOCAL))
+    D[:, :3, :] = prim_values(np.eye(3))[None, :, :]
+    G = mesh.grad_lambda                                   # (nt, 3, 2)
+    N = mesh.edge_normals[mesh.elem_edges]                 # (nt, 3, 2)
+    GN = np.einsum("tmx,tkx->tkm", G, N)
+    D[:, 3:6, :] = np.einsum("kjm,tkm->tkj", _edge_mean_dlam(), GN)
+    D[:, 6, :] = _PRIM_QT[None, :]
+    return D
 
 
 def eval_function_einsum(dofmap, u, bary):

@@ -22,7 +22,7 @@ import sys
 import numpy as np
 import pytest
 
-from morley_ocp.adaptive import AdaptConfig, adaptive_solve, fit_slope
+from morley_ocp.adaptive import AdaptConfig, adaptive_solve
 from morley_ocp.assembly import assemble_constraints, assemble_system
 from morley_ocp.element import DofMap
 from morley_ocp.estimator import eta_edges, eta_interior, interior_y_d
@@ -30,7 +30,7 @@ from morley_ocp.mesh import bisect, initial_mesh
 from morley_ocp.problems import ProblemSpec, example, manufactured
 from morley_ocp.vi_solver import solve_vi
 
-from conftest import child_env, random_mesh
+from conftest import child_env, fit_slope, random_mesh
 from oracles import (assemble_dense, assert_conforming, estimator_terms,
                      exhaustive_box_solve, interpolate, min_angle,
                      projected_gradient)

@@ -5,11 +5,12 @@ import pytest
 
 from morley_ocp import cli
 from morley_ocp.adaptive import (AdaptConfig, AdaptiveError, RunRecord,
-                                 adaptive_solve, doerfler_mark, fit_slope)
+                                 adaptive_solve, doerfler_mark)
 from morley_ocp.element import DofMap
 from morley_ocp.problems import example, manufactured
 from morley_ocp.vi_solver import SolverError
 
+from conftest import fit_slope
 from oracles import assert_conforming
 
 

@@ -4,10 +4,11 @@ from hypothesis import given, settings, strategies as st
 
 from morley_ocp.element import (DofMap, ElementError, _edge_bary, edge_rule,
                                 integrate, triangle_rule, bary_monomial_integral)
-from morley_ocp.mesh import initial_mesh, uniform_refine
+from morley_ocp.mesh import Mesh, initial_mesh, uniform_refine
 
 from conftest import random_mesh
-from oracles import barycentric, eval_function_einsum, interpolate, tri_quad
+from oracles import (barycentric, dof_matrices, eval_function_einsum,
+                     interpolate, tri_quad)
 
 
 def evaluate(dm, u, element, bary):
@@ -88,8 +89,33 @@ def test_seven_dof_duality_identity():
     for seed in range(3):
         mesh = random_mesh(seed, max_elements=12)
         dm = DofMap(mesh)
-        I = np.einsum("tij,tjk->tik", dm._dof_matrices(), dm.C)
+        I = np.einsum("tij,tjk->tik", dof_matrices(dm), dm.C)
         assert np.abs(I - np.eye(7)).max() < 1e-12
+
+
+def _sliver(aspect):
+    # two mirrored flat triangles on the unit base; height / base = aspect
+    return Mesh(np.array([[0.0, 0.0], [1.0, 0.0], [0.5, aspect],
+                          [0.5, -aspect]]),
+                np.array([[0, 1, 2], [1, 0, 3]]), np.array([2, 2]))
+
+
+def _assert_basis_matches_inverse(mesh):
+    # the reference inverse times the per-element transform gives, up to
+    # rounding, the inverse of each element's own DOF matrix
+    dm = DofMap(mesh)
+    C_inv = np.linalg.inv(dof_matrices(dm))
+    assert np.abs(dm.C - C_inv).max() <= 1e-13 * np.abs(C_inv).max()
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_nodal_basis_matches_inverse_on_bisected_meshes(seed):
+    _assert_basis_matches_inverse(random_mesh(seed, max_elements=1000))
+
+
+@pytest.mark.parametrize("aspect", [1e-2, 1e-4, 1e-6])
+def test_nodal_basis_matches_inverse_on_slivers(aspect):
+    _assert_basis_matches_inverse(_sliver(aspect))
 
 
 def test_nodal_basis_matches_independent_construction(split_square_mesh):

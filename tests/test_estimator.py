@@ -65,7 +65,7 @@ def test_edge_terms_interior_only(unit_cross):
     rng = np.random.default_rng(0)
     u = rng.standard_normal(dm.n_dofs)
     e2, e3, e4 = eta_edges(dm, u, 1.0)
-    b = unit_cross.boundary_edges
+    b = ~unit_cross.interior_edges
     assert np.all(e2[b] == 0) and np.all(e3[b] == 0) and np.all(e4[b] == 0)
     assert e2[~b].sum() > 0
 

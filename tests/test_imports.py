@@ -1,4 +1,5 @@
-"""Every module-level import of the package is used by its module."""
+"""Every module-level import of the package is used by its module, and
+every private name the package defines is used somewhere in the package."""
 
 import ast
 import pathlib
@@ -43,3 +44,55 @@ def test_unused_import_is_found():
               "__all__ = ['dataclass']\n"
               "x = np.zeros(1)\n")
     assert unused_imports(source) == [(2, "os"), (4, "field")]
+
+
+def unreferenced_private_names(sources):
+    """(module, line, name) of the private (single-underscore) module-level
+    names and methods defined in ``sources`` (module name -> source) that
+    no module of ``sources`` references: loads a name, reads an attribute
+    or imports it.  A name only used in ``tests/`` is reported."""
+    defined, used = [], set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.append((module, node.lineno, node.name))
+            targets = (node.targets if isinstance(node, ast.Assign) else
+                       [node.target] if isinstance(node, ast.AnnAssign) else [])
+            for target in targets:
+                defined.extend((module, n.lineno, n.id)
+                               for n in ast.walk(target)
+                               if isinstance(n, ast.Name))
+            if isinstance(node, ast.ClassDef):
+                defined.extend((module, f.lineno, f.name) for f in node.body
+                               if isinstance(f, ast.FunctionDef))
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+                used.add(n.id)
+            elif isinstance(n, ast.Attribute):
+                used.add(n.attr)
+            elif isinstance(n, ast.ImportFrom):
+                used.update(alias.name for alias in n.names)
+    return sorted(d for d in defined if d[2].startswith("_")
+                  and not d[2].startswith("__") and d[2] not in used)
+
+
+def test_every_private_name_is_used_in_the_package():
+    sources = {p.stem: p.read_text(encoding="utf-8")
+               for p in sorted(PKG.glob("*.py"))}
+    assert unreferenced_private_names(sources) == []
+
+
+def test_unreferenced_private_name_is_found():
+    sources = {
+        "a": ("_LIMIT, _SPARE = 1, 2\n"
+              "def _helper():\n    return _LIMIT\n"
+              "def _orphan():\n    pass\n"
+              "class Box:\n"
+              "    def __init__(self):\n        self._fill()\n"
+              "    def _fill(self):\n        pass\n"
+              "    def _stale(self):\n        pass\n"),
+        "b": "from .a import _helper\n",
+    }
+    assert unreferenced_private_names(sources) == [
+        ("a", 1, "_SPARE"), ("a", 4, "_orphan"), ("a", 11, "_stale")]

@@ -140,7 +140,7 @@ def test_normal_flips_with_endpoint_order():
     # the shared diagonal is 0-2 in both meshes but with swapped endpoints
     def diag_normal(m):
         for e in range(m.n_edges):
-            if not m.boundary_edges[e]:
+            if m.interior_edges[e]:
                 return m.edge_normals[e]
         raise AssertionError
     assert np.allclose(diag_normal(m1), -diag_normal(m2))
@@ -152,7 +152,8 @@ def test_closure_produces_conforming_mesh(unit_cross):
     assert_conforming(out, 0.0, 1.0)
     for e in range(out.n_edges):
         plus, minus = out.edge_elements[e]
-        assert (minus < 0) == out.boundary_edges[e]
+        assert (minus < 0) == (not out.interior_edges[e])
+    assert not out.interior_edges.flags.writeable
 
 
 def test_export_text(tmp_path, unit_cross):

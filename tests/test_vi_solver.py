@@ -148,6 +148,23 @@ def test_equality_qp_saddle_path_matches_schur(monkeypatch):
             assert np.abs(r).max() <= 1e-9 * np.abs(b).max()
 
 
+def test_equality_qp_calls_the_factor_factory_only_on_the_schur_route(
+        monkeypatch):
+    A, b, R, targets = _two_row_case()
+    calls = []
+
+    def spd():
+        calls.append(1)
+        return vi_solver.SpdSolver(A)
+
+    monkeypatch.setattr(vi_solver, "SCHUR_ROW_LIMIT", R.shape[0] - 1)
+    solve_equality_qp(A, b, R, targets, spd)
+    assert calls == []
+    monkeypatch.setattr(vi_solver, "SCHUR_ROW_LIMIT", R.shape[0])
+    solve_equality_qp(A, b, R, targets, spd)
+    assert calls == [1]
+
+
 class _PoorLU:
     """A factor whose solves come back scaled by 0.1: an approximate inverse
     whose refinement steps shrink the residual by 0.9 at best."""
