@@ -8,8 +8,8 @@ recovered multiplier against the designed one.
 
 import argparse
 
-from morley_ocp import (DofMap, assemble_constraints, assemble_system,
-                        initial_mesh, manufactured, solve_vi, uniform_refine)
+from morley_ocp import (initial_mesh, manufactured, solve_on_mesh,
+                        uniform_refine)
 
 
 def main():
@@ -23,10 +23,7 @@ def main():
     print(f"designed multiplier mu* = {mu_star:.12f}")
     mesh = initial_mesh(0.0, 1.0, 2)
     for level in range(args.levels):
-        dm = DofMap(mesh)
-        A, b = assemble_system(dm, prob)
-        cons = assemble_constraints(dm, prob)
-        sol = solve_vi(A, b, cons)
+        dm, sol, *_ = solve_on_mesh(prob, mesh)
         print(f"level {level}: dofs={dm.n_dofs:7d} mu_h={sol.mu:.12f} "
               f"|mu_h - mu*|={abs(sol.mu - mu_star):.3e} "
               f"state_active={bool(sol.active[0])}")

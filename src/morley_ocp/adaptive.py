@@ -22,7 +22,7 @@ from typing import Optional
 import numpy as np
 
 from .assembly import assemble_constraints, assemble_system
-from .element import DofMap
+from .element import DofMap, sample
 from .estimator import estimate, true_error
 from .mesh import bisect, initial_mesh
 from .vi_solver import SolverError, kkt_residual, solve_vi
@@ -126,11 +126,12 @@ def solve_on_mesh(problem, mesh, guess=None):
     error_report, kkt).  ``guess`` is the starting active set, per
     constraint row."""
     dofmap = DofMap(mesh)
-    A, b = assemble_system(dofmap, problem)
+    yd = sample(problem.y_d, dofmap.points)
+    A, b = assemble_system(dofmap, problem, yd)
     cons = assemble_constraints(dofmap, problem)
     solution = solve_vi(A, b, cons, guess)
     kkt = kkt_residual(A, b, cons, solution)
-    breakdown = estimate(dofmap, solution, problem)
+    breakdown = estimate(dofmap, solution, problem, yd)
     report = None
     if problem.exact is not None:
         report = true_error(dofmap, solution.coefficients, problem.exact,

@@ -9,7 +9,8 @@ The element matrices and the load are formed in the primitive basis of
 ``prim_stiffness`` gives the exact Hessian Gram (from a table of element
 averages of products of the primitive barycentric Hessians) plus the exact
 mass Gram, and ``prim_laplacian_moments`` gives the Laplacians of the
-primitives for the source term.  The load uses the degree-6 triangle rule.
+primitives for the source term.  The load reads ``y_d`` (sampled once per
+level by the caller) and ``f`` at the ``DATA_RULE`` points ``DofMap.points``.
 
 Constraint rows are exact as well: ``int_T w = |T| * Q_T(w)`` touches only
 the element-average DOF, and ``int_T Delta w = sum_e sign * h_e * (edge
@@ -23,8 +24,9 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .element import (DofMap, N_LOCAL, integrate, prim_laplacian_moments,
-                      prim_stiffness, prim_values, triangle_rule)
+from .element import (DATA_RULE, DofMap, N_LOCAL, integrate,
+                      prim_laplacian_moments, prim_stiffness, prim_values,
+                      sample)
 
 _CHUNK = 8192
 
@@ -53,13 +55,15 @@ class ConstraintSet:
     sizes: np.ndarray
 
 
-def assemble_system(dofmap: DofMap, problem):
-    """Assemble (csr system matrix, load vector) for a ProblemSpec."""
+def assemble_system(dofmap: DofMap, problem, yd):
+    """Assemble (csr system matrix, load vector) for a ProblemSpec; ``yd``
+    is ``y_d`` sampled at ``dofmap.points``."""
     mesh = dofmap.mesh
     n = dofmap.n_dofs
     beta = problem.beta
-    rule = triangle_rule(6)
-    P = prim_values(rule.points)              # (q, 7)
+    w = DATA_RULE.weights
+    P = prim_values(DATA_RULE.points)         # (q, 7)
+    fv = None if problem.f is None else sample(problem.f, dofmap.points)
 
     rows, cols, vals = [], [], []
     b = np.zeros(n)
@@ -80,14 +84,10 @@ def assemble_system(dofmap: DofMap, problem):
 
         # load: int y_d phi - beta int f Delta(phi), integrated against the
         # primitives first and mapped to the nodal basis by C once
-        X = rule.points @ mesh.vertices[mesh.elements[sl]]
-        yd = np.asarray(problem.y_d(X[..., 0], X[..., 1]), dtype=float)
-        load = (yd * rule.weights) @ P
-        if problem.f is not None:
-            fv = np.asarray(problem.f(X[..., 0], X[..., 1]), dtype=float)
-            if np.any(fv):
-                load -= beta * prim_laplacian_moments(G, fv * rule.weights,
-                                                      rule.points)
+        load = (yd[sl] * w) @ P
+        if fv is not None and np.any(fv[sl]):
+            load -= beta * prim_laplacian_moments(G, fv[sl] * w,
+                                                  DATA_RULE.points)
         bT = np.einsum("tai,ta->ti", C, load)
         bT *= area[:, None]
         keep1 = cd >= 0
@@ -138,14 +138,10 @@ def assemble_constraints(dofmap: DofMap, problem):
         sizes = np.full(2, omega)
     elif problem.case == "box":
         control = laplacians
-        rule = triangle_rule(6)
-        X = mesh.physical_points(rule.points)
-        ua = np.asarray(problem.u_a(X[..., 0], X[..., 1]), dtype=float)
-        ub = np.asarray(problem.u_b(X[..., 0], X[..., 1]), dtype=float)
-        ua = np.broadcast_to(ua, X.shape[:2])
-        ub = np.broadcast_to(ub, X.shape[:2])
-        box_lo = mesh.areas * (ua @ rule.weights)
-        box_up = mesh.areas * (ub @ rule.weights)
+        box_lo = mesh.areas * (sample(problem.u_a, dofmap.points)
+                               @ DATA_RULE.weights)
+        box_up = mesh.areas * (sample(problem.u_b, dofmap.points)
+                               @ DATA_RULE.weights)
         if not (np.all(np.isfinite(box_lo)) and np.all(np.isfinite(box_up))):
             raise AssemblyError("element with a non-finite Q_T(u_a) or Q_T(u_b)")
         if not np.all(box_lo < box_up):

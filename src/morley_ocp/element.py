@@ -98,6 +98,18 @@ def triangle_rule(exact_degree):
     return QuadratureRule(pts, wts)
 
 
+# the one rule at which the load, the box bounds and the interior residual
+# read the problem data
+DATA_RULE = triangle_rule(6)
+
+
+def sample(fn, X):
+    """``fn(x, y)`` at physical points ``X`` (..., 2) as a float array of
+    shape ``X.shape[:-1]``; a constant result is broadcast."""
+    vals = np.asarray(fn(X[..., 0], X[..., 1]), dtype=float)
+    return vals if vals.shape == X.shape[:-1] else np.full(X.shape[:-1], vals)
+
+
 # ----------------------------------------------------------------------
 # primitive basis in barycentric coordinates
 # ----------------------------------------------------------------------
@@ -232,7 +244,7 @@ class DofMap:
     Layout: interior-vertex DOFs first (ascending vertex id), then one DOF
     per edge (ascending edge id), then one per element.  ``cell_dofs`` maps
     each element to its 7 global DOFs with -1 for pinned boundary-vertex
-    slots.
+    slots.  ``points`` (nt, 16, 2) are the physical ``DATA_RULE`` points.
     """
 
     def __init__(self, mesh: Mesh):
@@ -263,6 +275,7 @@ class DofMap:
         Minv[:, k + 3, k + 3] = 1.0 / g
         Minv[:, k + 3, k1], Minv[:, k + 3, k2] = -s / g, s / g
         self.C = _C_REF @ Minv
+        self.points = mesh.physical_points(DATA_RULE.points)
 
     # -- coefficient gathering -------------------------------------------
 
@@ -300,6 +313,5 @@ class DofMap:
 def integrate(mesh: Mesh, fn, degree=10):
     """int_Omega fn(x, y) dx by an exact-degree triangle rule per element."""
     rule = triangle_rule(degree)
-    X = mesh.physical_points(rule.points)
-    vals = np.asarray(fn(X[..., 0], X[..., 1]))
+    vals = sample(fn, mesh.physical_points(rule.points))
     return float(mesh.areas @ (vals @ rule.weights))

@@ -8,8 +8,10 @@ split half/half between its two elements.
 
 With a nonzero source the interior residual is
 ``y_d + mu - y_h - beta * Delta f`` (the piecewise bi-Laplacian of the
-discrete space vanishes identically).  Data oscillation is computed and
-reported but never added to the total.
+discrete space vanishes identically).  The residual and the data
+oscillation read ``y_d`` as the caller sampled it at ``DofMap.points``, and
+``Delta f`` at the same points.  Data oscillation is computed and reported
+but never added to the total.
 """
 
 from __future__ import annotations
@@ -18,10 +20,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .element import DofMap, _edge_bary, edge_rule, prim_values, triangle_rule
+from .element import (DATA_RULE, DofMap, _edge_bary, edge_rule, prim_values,
+                      sample, triangle_rule)
 
 EDGE_RULE_DEGREE = 5          # Gauss-3: exact for every jump integrand
-INTERIOR_RULE_DEGREE = 6
 ERROR_RULE_DEGREE = 8
 
 
@@ -61,28 +63,17 @@ class ErrorReport:
     h2_broken_seminorm_error: float
 
 
-def interior_y_d(mesh, problem):
-    """y_d at the interior rule's points, per element: evaluated once per
-    level and shared by eta1 and the oscillation."""
-    X = mesh.physical_points(triangle_rule(INTERIOR_RULE_DEGREE).points)
-    return np.asarray(problem.y_d(X[..., 0], X[..., 1]), dtype=float)
-
-
 def eta_interior(dofmap: DofMap, y, mu, lam_elem, problem, yd):
     """Element terms: interior residual eta1 and multiplier term eta5;
-    ``yd`` is ``interior_y_d(mesh, problem)``."""
+    ``yd`` is ``y_d`` sampled at ``dofmap.points``."""
     mesh = dofmap.mesh
     beta = problem.beta
-    rule = triangle_rule(INTERIOR_RULE_DEGREE)
-    P = prim_values(rule.points)
-    a = dofmap.prim_coefficients(y)
-    yh = a @ P.T
+    yh = dofmap.prim_coefficients(y) @ prim_values(DATA_RULE.points).T
     resid = yd + mu - yh
     if problem.f_laplacian is not None:
-        X = mesh.physical_points(rule.points)
-        resid = resid - beta * problem.f_laplacian(X[..., 0], X[..., 1])
+        resid = resid - beta * sample(problem.f_laplacian, dofmap.points)
     h = mesh.h_elements
-    norm_sq = mesh.areas * ((resid**2) @ rule.weights)
+    norm_sq = mesh.areas * ((resid**2) @ DATA_RULE.weights)
     eta1_sq = h**4 / beta * norm_sq
     # multiplier term with ||lambda_h||_{L2(T)}^2 = lambda_T^2 |T| (the
     # quantity the local lower bound controls); a plain |lambda_T|^2 would
@@ -144,8 +135,8 @@ def eta_edges(dofmap: DofMap, y, beta):
 
 def data_oscillation(mesh, yd):
     """Osc(y_d; T) = h_T^2 || y_d - mean_T(y_d) ||_{L2(T)} per element;
-    ``yd`` is ``interior_y_d(mesh, problem)``."""
-    w = triangle_rule(INTERIOR_RULE_DEGREE).weights
+    ``yd`` is ``y_d`` at the ``DATA_RULE`` points."""
+    w = DATA_RULE.weights
     mean = yd @ w
     fluct_sq = mesh.areas * (((yd - mean[:, None])**2) @ w)
     return mesh.h_elements**2 * np.sqrt(fluct_sq)
@@ -163,13 +154,13 @@ def add_edge_shares(mesh, acc, edge_values):
     return acc
 
 
-def estimate(dofmap: DofMap, solution, problem):
-    """Assemble the full EstimatorBreakdown for a certified solution."""
+def estimate(dofmap: DofMap, solution, problem, yd):
+    """Assemble the full EstimatorBreakdown for a certified solution;
+    ``yd`` is ``y_d`` sampled at ``dofmap.points``."""
     mesh = dofmap.mesh
     # the integral case's one control multiplier serves every element
     lam_elem = np.broadcast_to(np.asarray(solution.lam, dtype=float),
                                (mesh.n_elements,))
-    yd = interior_y_d(mesh, problem)
     eta1_sq, eta5_sq = eta_interior(dofmap, solution.coefficients,
                                     solution.mu, lam_elem, problem, yd)
     eta2_sq, eta3_sq, eta4_sq = eta_edges(dofmap, solution.coefficients,

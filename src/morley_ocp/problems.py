@@ -178,49 +178,32 @@ def _example4():
     )
 
 
-def _sym2(hxx, hxy, hyy):
-    h = np.empty(np.shape(hxx) + (2, 2))
-    h[..., 0, 0] = hxx
-    h[..., 0, 1] = h[..., 1, 0] = hxy
-    h[..., 1, 1] = hyy
-    return h
-
-
 def _sine_series(modes, coeffs):
     """Closures (value, gradient, Hessian, Laplacian, bi-Laplacian) of
-    sum_k a_k sin(i pi x) sin(j pi y) for modes (i, j) and coefficients a_k."""
-    modes = [(int(i), int(j)) for i, j in modes]
-    coeffs = [float(a) for a in coeffs]
+    sum_k a_k sin(i pi x) sin(j pi y) for modes (i, j) and coefficients a_k.
+    Every derivative is the same sum with a per-mode scale, and cosines for
+    the variables it differentiates in odd order."""
+    terms = [(int(i), int(j), float(a)) for (i, j), a in zip(modes, coeffs)]
 
-    def value(x, y):
-        return sum(a * np.sin(i * PI * x) * np.sin(j * PI * y)
-                   for (i, j), a in zip(modes, coeffs))
+    def series(scale, fx=np.sin, fy=np.sin):
+        return lambda x, y: sum(scale(i, j, a) * fx(i * PI * x)
+                                * fy(j * PI * y) for i, j, a in terms)
+
+    value = series(lambda i, j, a: a)
+    gx = series(lambda i, j, a: a * i * PI, fx=np.cos)
+    gy = series(lambda i, j, a: a * j * PI, fy=np.cos)
+    hxx = series(lambda i, j, a: -a * (i * PI) ** 2)
+    hxy = series(lambda i, j, a: a * i * j * PI**2, fx=np.cos, fy=np.cos)
+    hyy = series(lambda i, j, a: -a * (j * PI) ** 2)
+    laplacian = series(lambda i, j, a: -a * (i * i + j * j) * PI**2)
+    bilaplacian = series(lambda i, j, a: a * ((i * i + j * j) * PI**2) ** 2)
 
     def gradient(x, y):
-        gx = sum(a * i * PI * np.cos(i * PI * x) * np.sin(j * PI * y)
-                 for (i, j), a in zip(modes, coeffs))
-        gy = sum(a * j * PI * np.sin(i * PI * x) * np.cos(j * PI * y)
-                 for (i, j), a in zip(modes, coeffs))
-        return np.stack([gx, gy], axis=-1)
+        return np.stack([gx(x, y), gy(x, y)], axis=-1)
 
     def hessian(x, y):
-        hxx = sum(-a * (i * PI) ** 2 * np.sin(i * PI * x) * np.sin(j * PI * y)
-                  for (i, j), a in zip(modes, coeffs))
-        hxy = sum(a * i * j * PI**2 * np.cos(i * PI * x) * np.cos(j * PI * y)
-                  for (i, j), a in zip(modes, coeffs))
-        hyy = sum(-a * (j * PI) ** 2 * np.sin(i * PI * x) * np.sin(j * PI * y)
-                  for (i, j), a in zip(modes, coeffs))
-        return _sym2(hxx, hxy, hyy)
-
-    def laplacian(x, y):
-        return sum(-a * (i * i + j * j) * PI**2
-                   * np.sin(i * PI * x) * np.sin(j * PI * y)
-                   for (i, j), a in zip(modes, coeffs))
-
-    def bilaplacian(x, y):
-        return sum(a * ((i * i + j * j) * PI**2) ** 2
-                   * np.sin(i * PI * x) * np.sin(j * PI * y)
-                   for (i, j), a in zip(modes, coeffs))
+        xx, xy, yy = hxx(x, y), hxy(x, y), hyy(x, y)
+        return np.stack([np.stack([xx, xy], -1), np.stack([xy, yy], -1)], -2)
 
     return value, gradient, hessian, laplacian, bilaplacian
 

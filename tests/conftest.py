@@ -3,6 +3,8 @@ import os
 import numpy as np
 import pytest
 
+from morley_ocp.assembly import assemble_system
+from morley_ocp.element import sample
 from morley_ocp.mesh import Mesh, bisect, initial_mesh
 
 ACCEPTANCE_LINES = []
@@ -25,6 +27,12 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.section("acceptance criteria")
         for line in ACCEPTANCE_LINES:
             terminalreporter.write_line(line)
+
+
+def assemble(dm, problem):
+    """``assemble_system`` with ``y_d`` sampled at ``dm.points``, as
+    ``solve_on_mesh`` calls it."""
+    return assemble_system(dm, problem, sample(problem.y_d, dm.points))
 
 
 def random_mesh(seed, max_elements=16, domain=(0.0, 1.0)):

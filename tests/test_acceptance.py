@@ -23,14 +23,14 @@ import numpy as np
 import pytest
 
 from morley_ocp.adaptive import AdaptConfig, adaptive_solve
-from morley_ocp.assembly import assemble_constraints, assemble_system
-from morley_ocp.element import DofMap
-from morley_ocp.estimator import eta_edges, eta_interior, interior_y_d
+from morley_ocp.assembly import assemble_constraints
+from morley_ocp.element import DofMap, sample
+from morley_ocp.estimator import eta_edges, eta_interior
 from morley_ocp.mesh import bisect, initial_mesh
 from morley_ocp.problems import ProblemSpec, example, manufactured
 from morley_ocp.vi_solver import solve_vi
 
-from conftest import child_env, fit_slope, random_mesh
+from conftest import assemble, child_env, fit_slope, random_mesh
 from oracles import (assemble_dense, assert_conforming, estimator_terms,
                      exhaustive_box_solve, interpolate, min_angle,
                      projected_gradient)
@@ -122,7 +122,7 @@ def test_criterion_4a_matrix_oracle():
         mesh = random_mesh(seed, max_elements=16)
         dm = DofMap(mesh)
         beta = [1.0, 0.5, 2.0, 0.1, 1.0, 3.0, 0.25, 1.5, 1.0, 0.75][seed]
-        A, _ = assemble_system(dm, _poly_problem(beta))
+        A, _ = assemble(dm, _poly_problem(beta))
         dense = A.toarray()
         oracle = assemble_dense(mesh, dm, beta)
         worst = max(worst, np.abs(dense - oracle).max() / np.abs(oracle).max())
@@ -142,7 +142,7 @@ def test_criterion_4b_estimator_oracle():
         lam = rng.uniform(-1, 1, size=mesh.n_elements)
         prob = _poly_problem(beta=float(rng.uniform(0.2, 3.0)))
         e1, e5 = eta_interior(dm, u, mu, lam, prob,
-                              interior_y_d(mesh, prob))
+                              sample(prob.y_d, dm.points))
         e2, e3, e4 = eta_edges(dm, u, prob.beta)
         got = np.array([e1.sum(), e2.sum(), e3.sum(), e4.sum(), e5.sum()])
         want = np.array(estimator_terms(mesh, dm, u, mu, lam, prob)[0])
@@ -158,7 +158,7 @@ def test_criterion_4c_case_i_oracles():
         mesh = random_mesh(200 + seed, max_elements=16)
         prob = manufactured(seed, active_state=bool(seed % 2))
         dm = DofMap(mesh)
-        A, b = assemble_system(dm, prob)
+        A, b = assemble(dm, prob)
         cons = assemble_constraints(dm, prob)
         sol = solve_vi(A, b, cons)
         x_pg = projected_gradient(A.toarray(), b, list(cons.rows.toarray()),
@@ -186,7 +186,7 @@ def test_criterion_4d_case_ii_oracle():
             u_a=lambda x, y, lo=lo: np.full_like(np.asarray(x, float), lo),
             u_b=lambda x, y, hi=hi: np.full_like(np.asarray(x, float), hi))
         dm = DofMap(mesh)
-        A, b = assemble_system(dm, prob)
+        A, b = assemble(dm, prob)
         cons = assemble_constraints(dm, prob)
         sol = solve_vi(A, b, cons)
         assert (sol.active[0] == -1) == (d3 > 0)

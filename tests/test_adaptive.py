@@ -5,8 +5,9 @@ import pytest
 
 from morley_ocp import cli
 from morley_ocp.adaptive import (AdaptConfig, AdaptiveError, RunRecord,
-                                 adaptive_solve, doerfler_mark)
+                                 adaptive_solve, doerfler_mark, solve_on_mesh)
 from morley_ocp.element import DofMap
+from morley_ocp.mesh import initial_mesh
 from morley_ocp.problems import example, manufactured
 from morley_ocp.vi_solver import SolverError
 
@@ -254,6 +255,70 @@ def test_nan_data_fail_the_first_iteration():
     with pytest.raises(AdaptiveError) as info:
         adaptive_solve(prob, AdaptConfig(max_dofs=2000))
     assert info.value.iteration == 0
+
+
+# -- problem data ------------------------------------------------------------
+
+@pytest.mark.parametrize("name, constants", [
+    ("ex3", {"y_d": 3.3}),
+    ("ex1", {"f": 2.0, "f_laplacian": 0.0}),
+    ("ex4", {"y_d": 3.3, "u_a": 0.0, "u_b": 30.0}),
+])
+def test_constant_data_closures_match_full_arrays(name, constants):
+    # a data closure may return a scalar; the study is the one whose
+    # closures return the same constant as an array of the points' shape
+    problem = example(int(name[2:]))
+    scalar = dataclasses.replace(
+        problem, **{k: (lambda x, y, v=v: v) for k, v in constants.items()})
+    full = dataclasses.replace(
+        problem, **{k: (lambda x, y, v=v: np.full_like(x, v))
+                    for k, v in constants.items()})
+    cfg = AdaptConfig(max_dofs=500)
+    got = adaptive_solve(scalar, cfg).records
+    want = adaptive_solve(full, cfg).records
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        da, db = dataclasses.asdict(a), dataclasses.asdict(b)
+        da.pop("wall_ms")
+        db.pop("wall_ms")
+        assert da == db
+
+
+@pytest.mark.parametrize("name, per_element", [
+    ("ex1", {"y_d": [16], "f": [16, 36], "f_laplacian": [16],
+             "exact.value": [25], "exact.hessian": [25]}),
+    ("ex4", {"y_d": [16], "u_a": [16], "u_b": [16]}),
+])
+def test_solve_on_mesh_samples_each_data_closure_once(monkeypatch, name,
+                                                      per_element):
+    # one level reads y_d, f_laplacian and the box bounds once at the 16
+    # points per element of DofMap.points, f there and at the 36 points of
+    # int_Omega f, and the exact solution once at the 25 error points;
+    # assembly runs in several chunks and still shares the one sample
+    import morley_ocp.assembly as assembly
+
+    monkeypatch.setattr(assembly, "_CHUNK", 6)
+    problem = example(int(name[2:]))
+    calls = {}
+
+    def counted(key, fn):
+        def closure(x, y):
+            calls.setdefault(key, []).append(np.size(x))
+            return fn(x, y)
+        return closure
+
+    for key in ("y_d", "f", "f_laplacian", "u_a", "u_b"):
+        if getattr(problem, key) is not None:
+            setattr(problem, key, counted(key, getattr(problem, key)))
+    if problem.exact is not None:
+        for key in ("value", "gradient", "hessian"):
+            setattr(problem.exact, key,
+                    counted(f"exact.{key}", getattr(problem.exact, key)))
+    mesh = initial_mesh(*problem.square, 2)
+    solve_on_mesh(problem, mesh)
+    nt = mesh.n_elements
+    assert nt > assembly._CHUNK
+    assert calls == {k: [q * nt for q in v] for k, v in per_element.items()}
 
 
 # ex2 is left out: its warm start saves no PDAS iteration at this budget

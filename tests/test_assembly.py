@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 
 from morley_ocp.assembly import (AssemblyError, assemble_constraints,
-                                 assemble_system, element_laplacian_rows)
+                                 element_laplacian_rows)
 from morley_ocp.element import DofMap
 from morley_ocp.mesh import initial_mesh, uniform_refine
 from morley_ocp.problems import ProblemSpec, example
 
-from conftest import random_mesh
+from conftest import assemble, random_mesh
 from oracles import assemble_dense, interpolate, tri_quad
 
 
@@ -24,7 +24,7 @@ def poly_problem(beta=1.0, with_f=True):
 def test_system_is_spd():
     mesh = uniform_refine(initial_mesh(0.0, 1.0, 1), 1)
     dm = DofMap(mesh)
-    A, _ = assemble_system(dm, poly_problem())
+    A, _ = assemble(dm, poly_problem())
     assert abs(A - A.T).max() < 1e-12 * abs(A).max()
     rng = np.random.default_rng(0)
     for _ in range(20):
@@ -37,7 +37,7 @@ def test_matrix_matches_dense_oracle(seed):
     mesh = random_mesh(seed, max_elements=64)
     dm = DofMap(mesh)
     beta = [1.0, 0.5, 2.0][seed]
-    A, _ = assemble_system(dm, poly_problem(beta=beta))
+    A, _ = assemble(dm, poly_problem(beta=beta))
     dense = A.toarray()
     oracle = assemble_dense(mesh, dm, beta)
     scale = np.abs(oracle).max()
@@ -52,7 +52,7 @@ def test_load_matches_oracle(seed):
     mesh = random_mesh(seed, max_elements=12)
     dm = DofMap(mesh)
     prob = poly_problem(beta=0.7)
-    _, b = assemble_system(dm, prob)
+    _, b = assemble(dm, prob)
     ref = np.zeros(dm.n_dofs)
     for t in range(mesh.n_elements):
         el = OracleElement(mesh, t)
@@ -73,7 +73,7 @@ def test_zero_data_gives_zero_load(unit_cross):
                        y_d=lambda x, y: np.zeros_like(np.asarray(x, float)),
                        f=None, f_laplacian=None, case="integral",
                        delta1=-1.0, delta2=-1.0)
-    _, b = assemble_system(dm, prob)
+    _, b = assemble(dm, prob)
     assert np.all(b == 0)
 
 
@@ -208,7 +208,7 @@ def test_qh_commutation_on_interpolants():
 
 def test_no_kernel_smallest_eigenvalue(unit_cross):
     dm = DofMap(unit_cross)
-    A, _ = assemble_system(dm, poly_problem())
+    A, _ = assemble(dm, poly_problem())
     M = A.toarray()
     # inverse iteration
     rng = np.random.default_rng(1)
@@ -224,7 +224,7 @@ def test_system_matrix_owns_compact_arrays(unit_cross):
     # summing duplicates leaves views into the larger coordinate buffers;
     # the returned matrix must not keep those alive, and tocsr has already
     # summed them (no duplicate or unsorted entries are left)
-    A, _ = assemble_system(DofMap(unit_cross), poly_problem())
+    A, _ = assemble(DofMap(unit_cross), poly_problem())
     assert A.has_canonical_format
     for arr in (A.data, A.indices):
         assert arr.base is None or arr.base.nbytes == arr.nbytes

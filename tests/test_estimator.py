@@ -1,15 +1,15 @@
 import numpy as np
 import pytest
 
-from morley_ocp.assembly import assemble_constraints, assemble_system
-from morley_ocp.element import DofMap
+from morley_ocp.assembly import assemble_constraints
+from morley_ocp.element import DofMap, sample
 from morley_ocp.estimator import (data_oscillation, estimate, eta_edges,
-                                  eta_interior, interior_y_d, true_error)
+                                  eta_interior, true_error)
 from morley_ocp.mesh import Mesh, initial_mesh, uniform_refine
 from morley_ocp.problems import ExactSolution, ProblemSpec, example, manufactured
 from morley_ocp.vi_solver import solve_vi
 
-from conftest import random_mesh
+from conftest import assemble, random_mesh
 from oracles import estimator_terms, interpolate
 
 
@@ -37,7 +37,7 @@ def test_eta1_vanishes_when_data_matches(unit_cross):
                        delta1=-1.0, delta2=-1.0)
     e1, e5 = eta_interior(dm, np.zeros(dm.n_dofs), 0.0,
                           np.zeros(unit_cross.n_elements), prob,
-                          interior_y_d(unit_cross, prob))
+                          sample(prob.y_d, dm.points))
     assert np.all(e1 == 0) and np.all(e5 == 0)
 
 
@@ -50,7 +50,7 @@ def test_eta1_reference_triangle(reference_triangle_mesh):
                        f=None, f_laplacian=None, case="integral",
                        delta1=-1.0, delta2=-1.0)
     e1, _ = eta_interior(dm, np.zeros(dm.n_dofs), 0.0, np.zeros(1), prob,
-                         interior_y_d(dm.mesh, prob))
+                         sample(prob.y_d, dm.points))
     assert e1[0] == pytest.approx(2.0, rel=1e-13)
 
 
@@ -117,7 +117,7 @@ def test_all_terms_match_bruteforce_oracle(seed):
     mu = float(rng.uniform(0, 2))
     lam = rng.uniform(-1, 1, size=mesh.n_elements)
     prob = poly_problem(beta=[1.0, 0.25, 3.0][seed])
-    e1, e5 = eta_interior(dm, u, mu, lam, prob, interior_y_d(mesh, prob))
+    e1, e5 = eta_interior(dm, u, mu, lam, prob, sample(prob.y_d, dm.points))
     e2, e3, e4 = eta_edges(dm, u, prob.beta)
     (o1, o2, o3, o4, o5), o_edges = estimator_terms(mesh, dm, u, mu, lam, prob)
     assert e1.sum() == pytest.approx(o1, rel=1e-12)
@@ -133,10 +133,10 @@ def test_all_terms_match_bruteforce_oracle(seed):
 def test_estimate_totals_bookkeeping(unit_cross):
     prob = manufactured(0)
     dm = DofMap(unit_cross)
-    A, b = assemble_system(dm, prob)
+    A, b = assemble(dm, prob)
     cons = assemble_constraints(dm, prob)
     sol = solve_vi(A, b, cons)
-    bd = estimate(dm, sol, prob)
+    bd = estimate(dm, sol, prob, sample(prob.y_d, dm.points))
     tot = bd.eta_sq_totals
     assert bd.eta_h == pytest.approx(np.sqrt(tot.sum()), rel=1e-14)
     assert tot[0] == pytest.approx(bd.eta1_sq_elem.sum(), rel=1e-14)
@@ -159,9 +159,9 @@ def test_beta_homogeneity(unit_cross):
                         y_d=lambda x, y: x - y, f=None, f_laplacian=None,
                         case="integral", delta1=-1.0, delta2=-1.0)
     a1, a5 = eta_interior(dm, u, mu, lam, prob1,
-                          interior_y_d(unit_cross, prob1))
+                          sample(prob1.y_d, dm.points))
     b1, b5 = eta_interior(dm, u, mu, lam, prob2,
-                          interior_y_d(unit_cross, prob2))
+                          sample(prob2.y_d, dm.points))
     assert np.allclose(b1, 0.5 * a1, rtol=1e-13)
     assert np.allclose(b5, 0.5 * a5, rtol=1e-13)
     a2, a3, a4 = eta_edges(dm, u, 1.0)
@@ -178,7 +178,7 @@ def test_relabeling_invariance():
     u = rng.standard_normal(dm.n_dofs)
     prob = poly_problem()
     lam = rng.uniform(-1, 1, size=mesh.n_elements)
-    e1, e5 = eta_interior(dm, u, 0.5, lam, prob, interior_y_d(mesh, prob))
+    e1, e5 = eta_interior(dm, u, 0.5, lam, prob, sample(prob.y_d, dm.points))
     e2, e3, e4 = eta_edges(dm, u, prob.beta)
 
     vperm = rng.permutation(mesh.n_vertices)     # new id of old vertex i
@@ -213,7 +213,7 @@ def test_relabeling_invariance():
     lam2 = lam[inv_eperm]
 
     f1, f5 = eta_interior(dm2, u2, 0.5, lam2, prob,
-                          interior_y_d(dm2.mesh, prob))
+                          sample(prob.y_d, dm2.points))
     f2, f3, f4 = eta_edges(dm2, u2, prob.beta)
     assert f1.sum() == pytest.approx(e1.sum(), rel=1e-12)
     assert f5.sum() == pytest.approx(e5.sum(), rel=1e-12)
@@ -228,10 +228,10 @@ def test_eta_decreases_under_uniform_refinement_ex1():
     last = None
     for _ in range(4):
         dm = DofMap(mesh)
-        A, b = assemble_system(dm, prob)
+        A, b = assemble(dm, prob)
         cons = assemble_constraints(dm, prob)
         sol = solve_vi(A, b, cons)
-        bd = estimate(dm, sol, prob)
+        bd = estimate(dm, sol, prob, sample(prob.y_d, dm.points))
         if last is not None:
             assert bd.eta_h <= 1.05 * last
         last = bd.eta_h
@@ -269,7 +269,7 @@ def test_true_error_zero_function_ex3():
 def test_oscillation_reported_not_added(unit_cross):
     dm = DofMap(unit_cross)
     prob = poly_problem()
-    osc = data_oscillation(unit_cross, interior_y_d(unit_cross, prob))
+    osc = data_oscillation(unit_cross, sample(prob.y_d, dm.points))
     assert np.all(osc >= 0)
     assert osc.sum() > 0
     # constant data oscillate nowhere
@@ -278,5 +278,5 @@ def test_oscillation_reported_not_added(unit_cross):
                         f=None, f_laplacian=None, case="integral",
                         delta1=-1.0, delta2=-1.0)
     assert np.allclose(data_oscillation(unit_cross,
-                                        interior_y_d(unit_cross, const)),
+                                        sample(const.y_d, dm.points)),
                        0.0, atol=1e-12)

@@ -3,13 +3,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from morley_ocp.assembly import assemble_constraints, assemble_system
+from morley_ocp.assembly import assemble_constraints
 from morley_ocp.element import DofMap
 from morley_ocp.estimator import broken_norms
 from morley_ocp.mesh import initial_mesh, uniform_refine
 from morley_ocp.problems import ProblemError, ProblemSpec, example, manufactured
 from morley_ocp.vi_solver import solve_vi
 
+from conftest import assemble
 from oracles import slater_margins
 
 
@@ -186,7 +187,7 @@ def test_manufactured_inactive_error_decreases():
     errs = []
     for _ in range(3):
         dm = DofMap(mesh)
-        A, b = assemble_system(dm, p)
+        A, b = assemble(dm, p)
         cons = assemble_constraints(dm, p)
         sol = solve_vi(A, b, cons)
         assert sol.mu == 0.0 and np.all(sol.lam == 0.0)
@@ -202,7 +203,7 @@ def test_manufactured_active_multiplier_converges():
     errs = []
     for _ in range(3):
         dm = DofMap(mesh)
-        A, b = assemble_system(dm, p)
+        A, b = assemble(dm, p)
         cons = assemble_constraints(dm, p)
         sol = solve_vi(A, b, cons)
         assert sol.active[0] == -1

@@ -57,9 +57,10 @@ def test_perfbench_trace_covers_every_layer():
     # the estimator evaluates y_h once per level, on points shared by all
     # elements
     assert metrics["element.eval_calls"] == metrics["adaptive.iterations"]
-    # and y_d once per level, shared by eta1 and the oscillation: 64 data
-    # points per element and level (80 when each evaluated its own)
-    assert metrics["problems.data_points"] <= 1_044_480
+    # and y_d, u_a and u_b once per level each, at the 16 points per element
+    # of ``DofMap.points``: 48 data points per element and level (64 when
+    # assembly and the estimator each sampled y_d)
+    assert metrics["problems.data_points"] <= 783_360
     # every level but the last is refined through the wrapped
     # ``adaptive.bisect``
     assert metrics["mesh.bisect_calls"] == metrics["adaptive.iterations"] - 1

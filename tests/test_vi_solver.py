@@ -3,20 +3,20 @@ import pytest
 import scipy.sparse as sp
 
 from morley_ocp import vi_solver
-from morley_ocp.assembly import assemble_constraints, assemble_system
+from morley_ocp.assembly import assemble_constraints
 from morley_ocp.element import DofMap
 from morley_ocp.mesh import initial_mesh, uniform_refine
 from morley_ocp.problems import ProblemSpec, example, manufactured
 from morley_ocp.vi_solver import (SolverError, kkt_residual,
                                   solve_equality_qp, solve_vi)
 
-from conftest import random_mesh
+from conftest import assemble, random_mesh
 from oracles import exhaustive_box_solve, projected_gradient
 
 
 def setup_case_i(problem, mesh):
     dm = DofMap(mesh)
-    A, b = assemble_system(dm, problem)
+    A, b = assemble(dm, problem)
     cons = assemble_constraints(dm, problem)
     return dm, A, b, cons
 
@@ -68,7 +68,7 @@ def test_pdas_iteration_cap_raises(monkeypatch):
     prob = example(4)
     mesh = initial_mesh(0.0, 1.0, 2)
     dm = DofMap(mesh)
-    A, b = assemble_system(dm, prob)
+    A, b = assemble(dm, prob)
     cons = assemble_constraints(dm, prob)
     with pytest.raises(SolverError, match="did not converge in 1 iterations"):
         solve_vi(A, b, cons)
@@ -114,7 +114,7 @@ def _ex4_pinned_case():
     # or upper bounds, as in a PDAS step: more rows than SCHUR_ROW_LIMIT
     dm = DofMap(uniform_refine(initial_mesh(0.0, 1.0, 4), 2))
     prob = example(4)
-    A, b = assemble_system(dm, prob)
+    A, b = assemble(dm, prob)
     cons = assemble_constraints(dm, prob)
     lo, up = np.arange(1, 201, 4), np.arange(2, 201, 4)
     return A, b, cons.rows[np.r_[0, lo, up]], np.r_[cons.lower[0],
@@ -294,7 +294,7 @@ def box_problem(lo=-50.0, hi=50.0, delta3=-100.0, beta=1.0, tilt=0.0):
 def test_case_ii_unconstrained_single_iteration(unit_cross):
     prob = box_problem(lo=-1e4, hi=1e4, delta3=-1e4)
     dm = DofMap(unit_cross)
-    A, b = assemble_system(dm, prob)
+    A, b = assemble(dm, prob)
     cons = assemble_constraints(dm, prob)
     sol = solve_vi(A, b, cons)
     assert sol.iterations == 1
@@ -306,7 +306,7 @@ def test_case_ii_example4_certificate():
     prob = example(4)
     mesh = uniform_refine(initial_mesh(0.0, 1.0, 2), 1)
     dm = DofMap(mesh)
-    A, b = assemble_system(dm, prob)
+    A, b = assemble(dm, prob)
     cons = assemble_constraints(dm, prob)
     sol = solve_vi(A, b, cons)
     stat, feas, comp = kkt_residual(A, b, cons, sol)
@@ -331,7 +331,7 @@ def test_case_ii_matches_exhaustive_enumeration(unit_cross, cfg):
     box, state, pattern = cfg
     prob = box_problem(**box, tilt=400.0)
     dm = DofMap(unit_cross)
-    A, b = assemble_system(dm, prob)
+    A, b = assemble(dm, prob)
     cons = assemble_constraints(dm, prob)
     sol = solve_vi(A, b, cons)
     assert (sol.active[0] == -1) == state
@@ -353,7 +353,7 @@ def test_case_ii_eight_element_enumeration():
     assert mesh.n_elements == 8
     prob = box_problem(lo=-2.0, hi=3.0, delta3=-100.0, tilt=400.0)
     dm = DofMap(mesh)
-    A, b = assemble_system(dm, prob)
+    A, b = assemble(dm, prob)
     cons = assemble_constraints(dm, prob)
     sol = solve_vi(A, b, cons)
     # both boxes bind, on every element
@@ -371,7 +371,7 @@ def test_case_ii_certificate_on_sixteen_elements():
     assert mesh.n_elements == 16
     prob = box_problem(lo=-2.0, hi=2.0, delta3=-100.0)
     dm = DofMap(mesh)
-    A, b = assemble_system(dm, prob)
+    A, b = assemble(dm, prob)
     cons = assemble_constraints(dm, prob)
     sol = solve_vi(A, b, cons)
     stat, feas, comp = kkt_residual(A, b, cons, sol)
@@ -382,7 +382,7 @@ def test_case_ii_certificate_on_sixteen_elements():
 
 def _box_system(prob, mesh):
     dm = DofMap(mesh)
-    A, b = assemble_system(dm, prob)
+    A, b = assemble(dm, prob)
     return A, b, assemble_constraints(dm, prob)
 
 
@@ -482,7 +482,7 @@ def test_degenerate_rows_do_not_stall_pdas():
     import dataclasses
     dm = DofMap(uniform_refine(initial_mesh(0.0, 1.0, 4), 2))
     prob = example(4)
-    A, b = assemble_system(dm, prob)
+    A, b = assemble(dm, prob)
     cons = assemble_constraints(dm, prob)
     x, _ = solve_equality_qp(A, b, cons.rows[:0], [])
     values = cons.rows @ x
@@ -526,7 +526,7 @@ def test_kkt_residual_keeps_nan_violation(unit_cross):
 
     prob = box_problem()
     dm = DofMap(unit_cross)
-    A, b = assemble_system(dm, prob)
+    A, b = assemble(dm, prob)
     cons = assemble_constraints(dm, prob)
     sol = solve_vi(A, b, cons)
     cons.upper[1] = np.nan          # the first element's upper box
