@@ -11,6 +11,10 @@ averages of products of the primitive barycentric Hessians) plus the exact
 mass Gram, and ``prim_laplacian_moments`` gives the Laplacians of the
 primitives for the source term.  The load reads ``y_d`` (sampled once per
 level by the caller) and ``f`` at the ``DATA_RULE`` points ``DofMap.points``.
+The element matrices are formed in chunks and summed once as ``S' B S``:
+``B`` is their block diagonal and ``S`` selects the global DOF of every
+element slot that has one, both CSR with int32 indices.  The product
+stores no exact zeros.
 
 Constraint rows are exact as well: ``int_T w = |T| * Q_T(w)`` touches only
 the element-average DOF, and ``int_T Delta w = sum_e sign * h_e * (edge
@@ -65,22 +69,15 @@ def assemble_system(dofmap: DofMap, problem, yd):
     P = prim_values(DATA_RULE.points)         # (q, 7)
     fv = None if problem.f is None else sample(problem.f, dofmap.points)
 
-    rows, cols, vals = [], [], []
-    b = np.zeros(n)
-    for start in range(0, mesh.n_elements, _CHUNK):
-        sl = slice(start, min(start + _CHUNK, mesh.n_elements))
+    nt = mesh.n_elements
+    blocks = np.empty((nt, N_LOCAL, N_LOCAL))
+    loads = np.empty((nt, N_LOCAL))
+    for start in range(0, nt, _CHUNK):
+        sl = slice(start, min(start + _CHUNK, nt))
         C, G, area = dofmap.C[sl], mesh.grad_lambda[sl], mesh.areas[sl]
         K = np.swapaxes(C, 1, 2) @ prim_stiffness(G, beta) @ C
         K *= area[:, None, None]
-        K = 0.5 * (K + np.swapaxes(K, 1, 2))
-        cd = dofmap.cell_dofs[sl]
-
-        ii = np.repeat(cd[:, :, None], N_LOCAL, axis=2)
-        jj = np.repeat(cd[:, None, :], N_LOCAL, axis=1)
-        keep = (ii >= 0) & (jj >= 0)
-        rows.append(ii[keep])
-        cols.append(jj[keep])
-        vals.append(K[keep])
+        blocks[sl] = 0.5 * (K + np.swapaxes(K, 1, 2))
 
         # load: int y_d phi - beta int f Delta(phi), integrated against the
         # primitives first and mapped to the nodal basis by C once
@@ -88,16 +85,29 @@ def assemble_system(dofmap: DofMap, problem, yd):
         if fv is not None and np.any(fv[sl]):
             load -= beta * prim_laplacian_moments(G, fv[sl] * w,
                                                   DATA_RULE.points)
-        bT = np.einsum("tai,ta->ti", C, load)
-        bT *= area[:, None]
-        keep1 = cd >= 0
-        b += np.bincount(cd[keep1], weights=bT[keep1], minlength=n)
+        loads[sl] = np.einsum("tai,ta->ti", C, load) * area[:, None]
 
-    A = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n, n)).tocsr()
-    # tocsr sums the duplicates into views of the larger pre-summation
-    # buffers; the copy keeps only arrays of the matrix's own size alive
+    # A = S' B S: B is the block diagonal of the element matrices, and row
+    # 7t + a of S selects the global DOF of element t's slot a (an empty
+    # row for a pinned vertex); b = S' (element loads)
+    slots = dofmap.cell_dofs.ravel()
+    kept = slots >= 0
+    b = np.bincount(slots[kept], weights=loads.ravel()[kept], minlength=n)
+    S = sp.csr_matrix(
+        (np.ones(np.count_nonzero(kept)), slots[kept].astype(np.int32),
+         np.r_[0, np.cumsum(kept, dtype=np.int32)]), shape=(slots.size, n))
+    local = np.arange(slots.size, dtype=np.int32).reshape(nt, 1, N_LOCAL)
+    B = sp.csr_matrix(
+        (blocks.reshape(-1), np.broadcast_to(local, blocks.shape).ravel(),
+         np.arange(0, blocks.size + 1, N_LOCAL, dtype=np.int32)),
+        shape=(slots.size, slots.size))
+    BS = B @ S
+    del blocks, B                # freed before the product: a lower peak
+    # S' as CSR keeps the product in CSR; the product drops exact zeros and
+    # leaves views into buffers sized for the structural nonzeros, so the
+    # copy keeps only arrays of the matrix's own size alive
+    A = S.T.tocsr() @ BS
+    A.sort_indices()
     return A.copy(), b
 
 

@@ -46,10 +46,6 @@ class EstimatorBreakdown:
                          self.eta5_sq_elem.sum()])
 
     @property
-    def etas(self):
-        return np.sqrt(self.eta_sq_totals)
-
-    @property
     def eta_h(self):
         return float(np.sqrt(self.eta_sq_totals.sum()))
 

@@ -67,6 +67,16 @@ PDAS_MAX_ITERATIONS = 50
 # on that noise can cycle
 PDAS_ROUNDING = 1e-12
 
+# SuperLU's supernode relaxation and panel width, at their smallest: with
+# fill unchanged to 0.01 %, every factor of an ex4-adaptive study took
+# 214 ms in total against 339 ms with the defaults (ex4-uniform 183 against
+# 271 ms), and a 119,513-row uniform saddle 288-399 against 510-592 ms.
+# SciPy 1.17.1 corrupts its heap on ex4 saddles with relax=80 at the
+# default panel width and with relax = panel_size = 40; keep relax small
+# and no larger than panel_size
+SUPERLU_RELAX = 1
+SUPERLU_PANEL_SIZE = 2
+
 
 class SolverError(Exception):
     pass
@@ -96,7 +106,8 @@ def _symmetric_splu(M):
     (SystemError, "malloc fails ...") raises SolverError."""
     try:
         return spla.splu(M.tocsc(), permc_spec="MMD_AT_PLUS_A",
-                         diag_pivot_thresh=0,
+                         diag_pivot_thresh=0, relax=SUPERLU_RELAX,
+                         panel_size=SUPERLU_PANEL_SIZE,
                          options={"SymmetricMode": True})
     except (RuntimeError, SystemError) as exc:
         raise SolverError(f"factorization failed ({exc})") from exc
@@ -171,12 +182,10 @@ def solve_equality_qp(A, b, rows, targets, spd=None):
                                   "active rows") from exc
             return np.r_[u - Y @ y, y]
     else:
-        # the saddle with -eps on the lower diagonal; stored zeros of A or
-        # the rows would change SuperLU's ordering, so none are kept
+        # the saddle with -eps on the lower diagonal
         eps = SADDLE_REGULARIZATION * float(np.max(np.abs(A.diagonal())))
         K = sp.bmat([[A, rows.T], [rows, sp.diags(np.full(k, -eps))]],
                     format="csc")
-        K.eliminate_zeros()
         solve = _symmetric_splu(K).solve
 
     def bordered(z):

@@ -221,10 +221,18 @@ def test_no_kernel_smallest_eigenvalue(unit_cross):
 
 
 def test_system_matrix_owns_compact_arrays(unit_cross):
-    # summing duplicates leaves views into the larger coordinate buffers;
-    # the returned matrix must not keep those alive, and tocsr has already
-    # summed them (no duplicate or unsorted entries are left)
+    # the sparse product S' B S returns views into buffers sized for the
+    # structural nonzeros; the returned matrix must not keep those alive,
+    # and must have no duplicate or unsorted entries
     A, _ = assemble(DofMap(unit_cross), poly_problem())
     assert A.has_canonical_format
     for arr in (A.data, A.indices):
         assert arr.base is None or arr.base.nbytes == arr.nbytes
+
+
+def test_system_matrix_stores_no_exact_zeros():
+    # on this uniform ex4 level 1,920 couplings cancel exactly; a stored
+    # zero would enter SuperLU's ordering of A and of the saddle
+    dm = DofMap(uniform_refine(initial_mesh(0.0, 1.0, 4), 4))
+    A, _ = assemble(dm, example(4))
+    assert np.count_nonzero(A.data == 0.0) == 0

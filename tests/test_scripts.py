@@ -54,6 +54,9 @@ def test_perfbench_trace_covers_every_layer():
     # saddles) fails here
     assert metrics["vi_solver.splu_calls"] <= 16
     assert metrics["vi_solver.saddle_calls"] <= 15
+    # SuperLU's options and the assembled pattern must not raise the fill
+    # of the largest factor
+    assert metrics["vi_solver.lu_fill_max"] <= 964_280
     # the estimator evaluates y_h once per level, on points shared by all
     # elements
     assert metrics["element.eval_calls"] == metrics["adaptive.iterations"]

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from morley_ocp import vi_solver
 from morley_ocp.assembly import assemble_constraints
@@ -451,6 +452,28 @@ def test_case_ii_factors_spd_only_when_a_solve_uses_it(monkeypatch):
     A, b, cons = _box_system(*WARM_START_CASES["sixteen-state"]())
     sol = solve_vi(A, b, cons)
     assert sol.active[0] == -1 and sol.iterations > 1 and len(built) == 1
+
+
+def test_superlu_panel_options_keep_the_saddle_fill(monkeypatch):
+    # the smallest supernode relaxation and panel width speed up SuperLU
+    # and leave the fill of a uniform ex4 saddle no higher than SuperLU's
+    # defaults do; SciPy 1.17.1 corrupts its heap with large relax values
+    assert 1 <= vi_solver.SUPERLU_RELAX <= vi_solver.SUPERLU_PANEL_SIZE
+    A, b, cons = _box_system(example(4),
+                             uniform_refine(initial_mesh(0.0, 1.0, 4), 4))
+    cold = solve_vi(A, b, cons)
+    factored = []
+    real = vi_solver._symmetric_splu
+    monkeypatch.setattr(vi_solver, "_symmetric_splu",
+                        lambda M: factored.append(M) or real(M))
+    solve_vi(A, b, cons, cold.active)
+    K = factored[0]
+    assert K.shape[0] == A.shape[0] + np.count_nonzero(cold.active)
+    assert K.shape[0] > A.shape[0] + vi_solver.SCHUR_ROW_LIMIT
+    lu = real(K)
+    default = spla.splu(K.tocsc(), permc_spec="MMD_AT_PLUS_A",
+                        diag_pivot_thresh=0, options={"SymmetricMode": True})
+    assert lu.L.nnz + lu.U.nnz <= default.L.nnz + default.U.nnz
 
 
 # 16 elements: the state row and 16 element rows
