@@ -164,7 +164,7 @@ def adaptive_solve(problem, adapt=None):
                                 "elements", it) from exc
         wall_ms = 1000.0 * (time.perf_counter() - t0)
 
-        eta_sq = breakdown.eta_sq_totals
+        eta_sq = breakdown.eta_sq.sum(axis=1)
         etas, eta_h = np.sqrt(eta_sq), float(np.sqrt(eta_sq.sum()))
         err = None if report is None else report.energy_error
         act = solution.active[1:]

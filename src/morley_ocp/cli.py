@@ -21,6 +21,8 @@ CSV_COLUMNS = ["iter", "dofs", "eta_h", "eta1", "eta2", "eta3", "eta4",
                "eta5", "energy_error", "l2_error", "eff_index", "mu_h",
                "lambda_min", "lambda_max", "n_active_lower", "n_active_upper",
                "wall_ms"]
+INDICATOR_COLUMNS = ["element", "eta_sq", "eta1_sq", "eta5_sq", "eta2_share_sq",
+                     "eta3_share_sq", "eta4_share_sq", "osc"]
 
 _PALETTE = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e",
             "#8c564b", "#17becf", "#7f7f7f"]
@@ -142,27 +144,13 @@ def _svg_plot(path, series, xlabel, ylabel, logy=True, guide_slope=None):
     Path(path).write_text("\n".join(out) + "\n", encoding="utf-8")
 
 
-def _indicator_rows(breakdown, mesh):
-    import numpy as np
-    from .estimator import add_edge_shares
-    nt = len(breakdown.eta1_sq_elem)
-    shares = {name: add_edge_shares(mesh, np.zeros(nt), arr)
-              for name, arr in (("eta2_sq", breakdown.eta2_sq_edge),
-                                ("eta3_sq", breakdown.eta3_sq_edge),
-                                ("eta4_sq", breakdown.eta4_sq_edge))}
-    rows = []
-    for t in range(nt):
-        rows.append({
-            "element": t,
-            "eta_sq": breakdown.element_indicators[t],
-            "eta1_sq": breakdown.eta1_sq_elem[t],
-            "eta5_sq": breakdown.eta5_sq_elem[t],
-            "eta2_share_sq": shares["eta2_sq"][t],
-            "eta3_share_sq": shares["eta3_sq"][t],
-            "eta4_share_sq": shares["eta4_sq"][t],
-            "osc": breakdown.osc_elem[t],
-        })
-    return rows
+def _indicator_rows(breakdown):
+    """One row per element, read off the estimator table."""
+    eta = breakdown.eta_sq
+    columns = (breakdown.element_indicators, eta[0], eta[4], eta[1], eta[2],
+               eta[3], breakdown.osc_elem)
+    return [dict(zip(INDICATOR_COLUMNS, (t, *row)))
+            for t, row in enumerate(zip(*(c.tolist() for c in columns)))]
 
 
 def run_solve(args):
@@ -213,10 +201,8 @@ def run_solve(args):
                                   encoding="utf-8")
 
     run.mesh.export_text(out / "mesh_final.txt")
-    ind_rows = _indicator_rows(run.breakdown, run.mesh)
-    _write_csv(out / "indicators_final.csv", ind_rows,
-               ["element", "eta_sq", "eta1_sq", "eta5_sq", "eta2_share_sq",
-                "eta3_share_sq", "eta4_share_sq", "osc"])
+    _write_csv(out / "indicators_final.csv", _indicator_rows(run.breakdown),
+               INDICATOR_COLUMNS)
 
     if args.svg:
         label = args.problem + (" uniform" if args.uniform else " adaptive")

@@ -2,9 +2,11 @@
 
 Five contributions: two element terms (interior residual, multiplier term)
 and three interior-edge jump terms (normal derivative, second normal
-derivative, normal derivative of the Laplacian).  The total satisfies
-``eta^2 = eta1^2 + ... + eta5^2``; for marking, each interior-edge term is
-split half/half between its two elements.
+derivative, normal derivative of the Laplacian).  ``estimate`` stores them
+in one per-element table ``eta_sq``: row ``i - 1`` holds ``eta_i^2`` on
+each element, the edge terms as half of each interior edge's value, so the
+row sums are the totals ``eta_i^2`` and the column sums are the marking
+indicators; ``eta^2 = eta1^2 + ... + eta5^2``.
 
 With a nonzero source the interior residual is
 ``y_d + mu - y_h - beta * Delta f`` (the piecewise bi-Laplacian of the
@@ -29,25 +31,11 @@ ERROR_RULE_DEGREE = 8
 
 @dataclass
 class EstimatorBreakdown:
-    """Per-entity estimator contributions (all squared) and totals."""
+    """Per-element estimator table (all squared)."""
 
-    eta1_sq_elem: np.ndarray
-    eta5_sq_elem: np.ndarray
-    eta2_sq_edge: np.ndarray
-    eta3_sq_edge: np.ndarray
-    eta4_sq_edge: np.ndarray
-    element_indicators: np.ndarray   # eta_T^2 with half-edge shares
+    eta_sq: np.ndarray               # (5, nt): row i - 1 holds eta_i^2
+    element_indicators: np.ndarray   # eta_T^2, the column sums of eta_sq
     osc_elem: np.ndarray             # h_T^2 ||y_d - mean(y_d)||_T, reported only
-
-    @property
-    def eta_sq_totals(self):
-        return np.array([self.eta1_sq_elem.sum(), self.eta2_sq_edge.sum(),
-                         self.eta3_sq_edge.sum(), self.eta4_sq_edge.sum(),
-                         self.eta5_sq_elem.sum()])
-
-    @property
-    def eta_h(self):
-        return float(np.sqrt(self.eta_sq_totals.sum()))
 
 
 @dataclass
@@ -102,19 +90,18 @@ def eta_edges(dofmap: DofMap, y, beta):
     lap_mid = np.einsum("tkqxx,q->tk", hess, rule.weights)
     grad_lap = -2.0 * np.einsum("tk,tkx->tx", lap_mid, mesh.grad_lambda)
 
-    def trace(side):
-        # local edge k of t runs from its vertex (k+1)%3 to (k+2)%3; read
-        # the points backwards where that is not the edge's first endpoint
-        # (the Gauss rule is symmetric about 1/2)
+    def trace(side, q):
+        # local edge k of t runs from its vertex (k+1)%3 to (k+2)%3
         t = mesh.edge_elements[ids, side]
         k = np.argmax(mesh.elem_edges[t] == ids[:, None], axis=1)
-        forward = mesh.elements[t, (k + 1) % 3] == mesh.edges[ids, 0]
-        q = np.where(forward[:, None], np.arange(nq), np.arange(nq)[::-1])
         tq, kq = t[:, None], k[:, None]
         return grad[tq, kq, q], hess[tq, kq, q], grad_lap[t]
 
-    grad_p, hess_p, gl_p = trace(0)
-    grad_m, hess_m, gl_m = trace(1)
+    # two counter-clockwise neighbours run their shared edge in opposite
+    # directions, so the minus side reads its points backwards (the Gauss
+    # rule is symmetric about 1/2)
+    grad_p, hess_p, gl_p = trace(0, np.arange(nq))
+    grad_m, hess_m, gl_m = trace(1, np.arange(nq)[::-1])
     n = mesh.edge_normals[ids]
     h = mesh.edge_lengths[ids]
 
@@ -138,18 +125,6 @@ def data_oscillation(mesh, yd):
     return mesh.h_elements**2 * np.sqrt(fluct_sq)
 
 
-def add_edge_shares(mesh, acc, edge_values):
-    """Add half of each interior-edge value to both of its elements.
-
-    Accumulates into ``acc`` (per element) in place and returns it.
-    """
-    ids = np.flatnonzero(mesh.interior_edges)
-    acc += np.bincount(mesh.edge_elements[ids].ravel(),
-                       weights=np.repeat(0.5 * edge_values[ids], 2),
-                       minlength=len(acc))
-    return acc
-
-
 def estimate(dofmap: DofMap, solution, problem, yd):
     """Assemble the full EstimatorBreakdown for a certified solution;
     ``yd`` is ``y_d`` sampled at ``dofmap.points``."""
@@ -157,15 +132,15 @@ def estimate(dofmap: DofMap, solution, problem, yd):
     # the integral case's one control multiplier serves every element
     lam_elem = np.broadcast_to(np.asarray(solution.lam, dtype=float),
                                (mesh.n_elements,))
-    eta1_sq, eta5_sq = eta_interior(dofmap, solution.coefficients,
-                                    solution.mu, lam_elem, problem, yd)
-    eta2_sq, eta3_sq, eta4_sq = eta_edges(dofmap, solution.coefficients,
-                                          problem.beta)
-
-    indicators = add_edge_shares(mesh, eta1_sq + eta5_sq,
-                                 eta2_sq + eta3_sq + eta4_sq)
-    return EstimatorBreakdown(eta1_sq, eta5_sq, eta2_sq, eta3_sq, eta4_sq,
-                              indicators, data_oscillation(mesh, yd))
+    eta_sq = np.empty((5, mesh.n_elements))
+    eta_sq[0], eta_sq[4] = eta_interior(dofmap, solution.coefficients,
+                                        solution.mu, lam_elem, problem, yd)
+    # eta_edges is zero on boundary edges, so each element takes half of
+    # every one of its edges
+    edges = np.stack(eta_edges(dofmap, solution.coefficients, problem.beta))
+    eta_sq[1:4] = 0.5 * edges[:, mesh.elem_edges].sum(axis=2)
+    return EstimatorBreakdown(eta_sq, eta_sq.sum(axis=0),
+                              data_oscillation(mesh, yd))
 
 
 def broken_norms(dofmap: DofMap, y, exact):

@@ -53,6 +53,7 @@ class Mesh:
     edge_elements : (ne, 2) int array, [plus, minus]; minus is -1 on the
         boundary
     edge_normals : (ne, 2) float array, unit normals (outward on boundary)
+    edge_lengths : (ne,) float array
     interior_edges : (ne,) bool array, True where an edge has two elements
     elem_edges : (nt, 3) int array, global edge id of local edge k
     vertex_on_boundary : (nv,) bool array
@@ -79,10 +80,10 @@ class Mesh:
         self._build_topology()
         for a in (self.vertices, self.elements, self.refinement_edge,
                   self.edges, self.edge_elements, self.edge_normals,
-                  self.interior_edges, self.elem_edges,
+                  self.edge_lengths, self.interior_edges, self.elem_edges,
                   self.vertex_on_boundary, self.parent):
             if a is not None:
-                a.flags.writeable = False
+                _read_only(a)
 
     # -- construction ------------------------------------------------
 
@@ -166,12 +167,12 @@ class Mesh:
     @cached_property
     def areas(self):
         """Element areas (positive)."""
-        return 0.5 * _signed_area(self.vertices[self.elements])
+        return _read_only(0.5 * _signed_area(self.vertices[self.elements]))
 
     @cached_property
     def h_elements(self):
         """Element diameters h_T (longest edge)."""
-        return self.edge_lengths[self.elem_edges].max(axis=1)
+        return _read_only(self.edge_lengths[self.elem_edges].max(axis=1))
 
     @cached_property
     def grad_lambda(self):
@@ -183,7 +184,7 @@ class Mesh:
             d = p[:, (i + 2) % 3] - p[:, (i + 1) % 3]
             g[:, i, 0] = -d[:, 1]
             g[:, i, 1] = d[:, 0]
-        return g / twoA[:, None]
+        return _read_only(g / twoA[:, None])
 
     def physical_points(self, bary):
         """Physical coordinates of shared barycentric points on all elements.
@@ -204,6 +205,11 @@ class Mesh:
         lines += [f"{a} {b} {c}" for a, b, c in self.elements]
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write("\n".join(lines) + "\n")
+
+
+def _read_only(a):
+    a.flags.writeable = False
+    return a
 
 
 def _signed_area(p):

@@ -43,7 +43,6 @@ class ProblemSpec:
     control boxes ``u_a <= -Delta y <= u_b``.
     """
 
-    name: str
     domain: tuple                    # (x0, y0, x1, y1)
     beta: float
     y_d: Field2
@@ -106,7 +105,6 @@ def _example1():
     p, grad_p, hess_p, lap_p, bilap_p = _sine_series([(2, 2), (2, 4)],
                                                      [1.0, 3.0 / 8.0])
     return ProblemSpec(
-        name="ex1",
         domain=(0.0, 0.0, 1.0, 1.0),
         beta=1.0,
         y_d=lambda x, y: p(x, y) + lap_p(x, y) - 0.4,
@@ -127,7 +125,6 @@ def _example2():
     yv, grad_y, hess_y, _, _ = _sine_series([(1, 1)], [2 * PI**2])
     s, _, _, _, bilap_s = _sine_series([(1, 1)], [1.0])
     return ProblemSpec(
-        name="ex2",
         domain=(0.0, 0.0, 1.0, 1.0),
         beta=1.0,
         y_d=lambda x, y: np.zeros_like(np.asarray(x, dtype=float)),
@@ -147,7 +144,6 @@ def _example3():
     yv, grad_y, hess_y, _, bilap_y = _sine_series([(1, 1)],
                                                   [-1 / (2 * PI**2)])
     return ProblemSpec(
-        name="ex3",
         domain=(-1.0, -1.0, 1.0, 1.0),
         beta=1.0,
         y_d=lambda x, y: bilap_y(x, y) + yv(x, y) - 0.6,
@@ -164,7 +160,6 @@ def _example4():
     # integral state constraint with pointwise control bounds: the box
     # 0 <= u <= 30 with a small beta; no closed-form solution.
     return ProblemSpec(
-        name="ex4",
         domain=(0.0, 0.0, 1.0, 1.0),
         beta=0.01,
         y_d=lambda x, y: 10.0 * (np.sin(PI * x) + np.sin(PI * y)),
@@ -245,7 +240,6 @@ def manufactured(seed, active_state=False):
         return beta * bilaplacian(x, y) + value(x, y) - mu
 
     return ProblemSpec(
-        name=f"manufactured-{seed}" + ("-active" if active_state else ""),
         domain=(0.0, 0.0, 1.0, 1.0),
         beta=beta,
         y_d=y_d,

@@ -109,7 +109,7 @@ def test_criterion_3_reliability(which, ex1_run, ex2_run, ex3_run):
 
 def _poly_problem(beta):
     return ProblemSpec(
-        name="poly", domain=(0.0, 0.0, 1.0, 1.0), beta=beta,
+        domain=(0.0, 0.0, 1.0, 1.0), beta=beta,
         y_d=lambda x, y: 1.0 + x**2 * y - 2 * x * y**2 + 0.5 * x,
         f=lambda x, y: x * y - 0.3,
         f_laplacian=lambda x, y: np.zeros_like(np.asarray(x, float)),
@@ -179,7 +179,7 @@ def test_criterion_4d_case_ii_oracle():
                                       (-2.0, 3.0, 0.3)]):
         mesh = initial_mesh(0.0, 1.0, 1)
         prob = ProblemSpec(
-            name="box", domain=(0.0, 0.0, 1.0, 1.0), beta=1.0,
+            domain=(0.0, 0.0, 1.0, 1.0), beta=1.0,
             y_d=lambda x, y: (20.0 * np.sin(np.pi * x) * np.sin(np.pi * y)
                               + 400.0 * (x - 0.5)),
             f=None, f_laplacian=None, case="box", delta3=d3,

@@ -16,7 +16,7 @@ def poly_problem(beta=1.0, with_f=True):
     f = (lambda x, y: 1.0 + x * y - y**2) if with_f else None
     flap = (lambda x, y: -2.0 * np.ones_like(np.asarray(x, float))) if with_f else None
     return ProblemSpec(
-        name="poly", domain=(0.0, 0.0, 1.0, 1.0), beta=beta,
+        domain=(0.0, 0.0, 1.0, 1.0), beta=beta,
         y_d=lambda x, y: x**2 * y - 3 * x + 1,
         f=f, f_laplacian=flap, case="integral", delta1=-10.0, delta2=-10.0)
 
@@ -69,7 +69,7 @@ def test_load_matches_oracle(seed):
 
 def test_zero_data_gives_zero_load(unit_cross):
     dm = DofMap(unit_cross)
-    prob = ProblemSpec(name="zero", domain=(0, 0, 1, 1), beta=1.0,
+    prob = ProblemSpec(domain=(0, 0, 1, 1), beta=1.0,
                        y_d=lambda x, y: np.zeros_like(np.asarray(x, float)),
                        f=None, f_laplacian=None, case="integral",
                        delta1=-1.0, delta2=-1.0)

@@ -98,6 +98,11 @@ def test_indicator_dump_schema(ex1_run):
     total = sum(float(r["eta_sq"]) for r in rows)
     _, conv = read_csv(ex1_run / "convergence.csv")
     assert total == pytest.approx(float(conv[-1]["eta_h"])**2, rel=1e-9)
+    # each edge term's element shares add up to the final record's total
+    for i in (2, 3, 4):
+        shares = sum(float(r[f"eta{i}_share_sq"]) for r in rows)
+        assert shares == pytest.approx(float(conv[-1][f"eta{i}"])**2,
+                                       rel=1e-9)
 
 
 def test_manufactured_problem_flag(tmp_path):

@@ -15,7 +15,7 @@ from oracles import estimator_terms, interpolate
 
 def poly_problem(beta=1.0):
     return ProblemSpec(
-        name="poly", domain=(0.0, 0.0, 1.0, 1.0), beta=beta,
+        domain=(0.0, 0.0, 1.0, 1.0), beta=beta,
         y_d=lambda x, y: 1.0 + x**2 * y - 2 * x * y**2,
         f=lambda x, y: x * y,
         f_laplacian=lambda x, y: np.zeros_like(np.asarray(x, float)),
@@ -31,7 +31,7 @@ class FakeSolution:
 
 def test_eta1_vanishes_when_data_matches(unit_cross):
     dm = DofMap(unit_cross)
-    prob = ProblemSpec(name="zero", domain=(0, 0, 1, 1), beta=1.0,
+    prob = ProblemSpec(domain=(0, 0, 1, 1), beta=1.0,
                        y_d=lambda x, y: np.zeros_like(np.asarray(x, float)),
                        f=None, f_laplacian=None, case="integral",
                        delta1=-1.0, delta2=-1.0)
@@ -45,7 +45,7 @@ def test_eta1_reference_triangle(reference_triangle_mesh):
     # y_h = 0, mu = 0, y_d = 1, beta = 1: eta1^2 = h^4 |T| = 4 * 1/2 = 2
     m = reference_triangle_mesh
     dm = DofMap(m)
-    prob = ProblemSpec(name="one", domain=(0, 0, 1, 1), beta=1.0,
+    prob = ProblemSpec(domain=(0, 0, 1, 1), beta=1.0,
                        y_d=lambda x, y: np.ones_like(np.asarray(x, float)),
                        f=None, f_laplacian=None, case="integral",
                        delta1=-1.0, delta2=-1.0)
@@ -136,12 +136,19 @@ def test_estimate_totals_bookkeeping(unit_cross):
     A, b = assemble(dm, prob)
     cons = assemble_constraints(dm, prob)
     sol = solve_vi(A, b, cons)
-    bd = estimate(dm, sol, prob, sample(prob.y_d, dm.points))
-    tot = bd.eta_sq_totals
-    assert bd.eta_h == pytest.approx(np.sqrt(tot.sum()), rel=1e-14)
-    assert tot[0] == pytest.approx(bd.eta1_sq_elem.sum(), rel=1e-14)
-    # element indicators redistribute the full edge mass
-    assert bd.element_indicators.sum() == pytest.approx(tot.sum(), rel=1e-12)
+    yd = sample(prob.y_d, dm.points)
+    bd = estimate(dm, sol, prob, yd)
+    lam = np.broadcast_to(sol.lam, (unit_cross.n_elements,))
+    e1, e5 = eta_interior(dm, sol.coefficients, sol.mu, lam, prob, yd)
+    assert bd.eta_sq.shape == (5, unit_cross.n_elements)
+    assert np.array_equal(bd.eta_sq[0], e1)
+    assert np.array_equal(bd.eta_sq[4], e5)
+    # the element rows of the edge terms redistribute the full edge mass
+    for row, edge in zip(bd.eta_sq[1:4], eta_edges(dm, sol.coefficients,
+                                                   prob.beta)):
+        assert edge.sum() > 0
+        assert row.sum() == pytest.approx(edge.sum(), rel=1e-14)
+    assert np.array_equal(bd.element_indicators, bd.eta_sq.sum(axis=0))
     assert np.all(bd.element_indicators >= 0)
 
 
@@ -152,10 +159,10 @@ def test_beta_homogeneity(unit_cross):
     mu = 0.3
     lam = rng.uniform(0, 1, size=unit_cross.n_elements)
 
-    prob1 = ProblemSpec(name="h1", domain=(0, 0, 1, 1), beta=1.0,
+    prob1 = ProblemSpec(domain=(0, 0, 1, 1), beta=1.0,
                         y_d=lambda x, y: x - y, f=None, f_laplacian=None,
                         case="integral", delta1=-1.0, delta2=-1.0)
-    prob2 = ProblemSpec(name="h2", domain=(0, 0, 1, 1), beta=2.0,
+    prob2 = ProblemSpec(domain=(0, 0, 1, 1), beta=2.0,
                         y_d=lambda x, y: x - y, f=None, f_laplacian=None,
                         case="integral", delta1=-1.0, delta2=-1.0)
     a1, a5 = eta_interior(dm, u, mu, lam, prob1,
@@ -232,9 +239,10 @@ def test_eta_decreases_under_uniform_refinement_ex1():
         cons = assemble_constraints(dm, prob)
         sol = solve_vi(A, b, cons)
         bd = estimate(dm, sol, prob, sample(prob.y_d, dm.points))
+        eta_h = np.sqrt(bd.eta_sq.sum())
         if last is not None:
-            assert bd.eta_h <= 1.05 * last
-        last = bd.eta_h
+            assert eta_h <= 1.05 * last
+        last = eta_h
         mesh = uniform_refine(mesh, 1)
 
 
@@ -273,7 +281,7 @@ def test_oscillation_reported_not_added(unit_cross):
     assert np.all(osc >= 0)
     assert osc.sum() > 0
     # constant data oscillate nowhere
-    const = ProblemSpec(name="c", domain=(0, 0, 1, 1), beta=1.0,
+    const = ProblemSpec(domain=(0, 0, 1, 1), beta=1.0,
                         y_d=lambda x, y: np.full_like(np.asarray(x, float), 3.3),
                         f=None, f_laplacian=None, case="integral",
                         delta1=-1.0, delta2=-1.0)

@@ -1,3 +1,5 @@
+from functools import cached_property
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -154,6 +156,19 @@ def test_closure_produces_conforming_mesh(unit_cross):
         plus, minus = out.edge_elements[e]
         assert (minus < 0) == (not out.interior_edges[e])
     assert not out.interior_edges.flags.writeable
+
+
+def test_bisected_mesh_arrays_are_read_only(unit_cross):
+    # a write to a cached geometry array would corrupt every later DofMap
+    # and assembly on the mesh
+    out = bisect(uniform_refine(unit_cross, 1), [0, 3])
+    for name, attr in vars(Mesh).items():
+        if isinstance(attr, cached_property):
+            getattr(out, name)
+    arrays = {k: v for k, v in vars(out).items() if isinstance(v, np.ndarray)}
+    assert {"edge_lengths", "areas", "h_elements", "grad_lambda",
+            "parent"} <= arrays.keys()
+    assert [k for k, v in arrays.items() if v.flags.writeable] == []
 
 
 def test_export_text(tmp_path, unit_cross):

@@ -62,7 +62,8 @@ def test_example1_data_verbatim():
 
 
 def test_example_ids():
-    assert example("ex3").name == "ex3"
+    # ex3 alone lives on (-1, 1)^2
+    assert example("ex3").domain == example(3).domain == (-1.0, -1.0, 1.0, 1.0)
     with pytest.raises(ProblemError):
         example(5)
 
@@ -225,19 +226,19 @@ def test_slater_condition_examples():
 
 def test_problem_validation():
     with pytest.raises(ProblemError):
-        ProblemSpec(name="bad", domain=(0, 0, 1, 1), beta=-1.0,
+        ProblemSpec(domain=(0, 0, 1, 1), beta=-1.0,
                     y_d=lambda x, y: x, f=None, f_laplacian=None,
                     case="integral", delta1=0.0, delta2=0.0)
     with pytest.raises(ProblemError):
-        ProblemSpec(name="bad", domain=(0, 0, 1, 1), beta=1.0,
+        ProblemSpec(domain=(0, 0, 1, 1), beta=1.0,
                     y_d=lambda x, y: x, f=None, f_laplacian=None,
                     case="integral", delta1=0.0)   # missing delta2
     with pytest.raises(ProblemError):
-        ProblemSpec(name="bad", domain=(0, 0, 1, 1), beta=1.0,
+        ProblemSpec(domain=(0, 0, 1, 1), beta=1.0,
                     y_d=lambda x, y: x, f=None, f_laplacian=None,
                     case="box", delta3=0.0)        # missing bounds
     with pytest.raises(ProblemError):
-        ProblemSpec(name="bad", domain=(0, 0, 1, 1), beta=1.0,
+        ProblemSpec(domain=(0, 0, 1, 1), beta=1.0,
                     y_d=lambda x, y: x, f=None, f_laplacian=None,
                     case="weird", delta1=0.0, delta2=0.0)
 
@@ -250,7 +251,7 @@ def test_source_without_its_laplacian_rejected(f, f_laplacian):
     # the load uses f and the estimator uses f_laplacian: a spec with one
     # of them would drop (or invent) the source term in eta1
     with pytest.raises(ProblemError, match="f_laplacian"):
-        ProblemSpec(name="bad", domain=(0, 0, 1, 1), beta=1.0,
+        ProblemSpec(domain=(0, 0, 1, 1), beta=1.0,
                     y_d=lambda x, y: x, f=f, f_laplacian=f_laplacian,
                     case="integral", delta1=0.0, delta2=0.0)
 
@@ -264,7 +265,7 @@ def test_source_without_its_laplacian_rejected(f, f_laplacian):
 ])
 def test_nonfinite_constraint_bound_rejected(case, bounds, name, bad):
     with pytest.raises(ProblemError, match=name):
-        ProblemSpec(name="bad", domain=(0, 0, 1, 1), beta=1.0,
+        ProblemSpec(domain=(0, 0, 1, 1), beta=1.0,
                     y_d=lambda x, y: x, f=None, f_laplacian=None,
                     case=case, **dict(bounds, **{name: bad}))
 

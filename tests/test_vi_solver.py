@@ -284,7 +284,7 @@ def box_problem(lo=-50.0, hi=50.0, delta3=-100.0, beta=1.0, tilt=0.0):
     # with tilt 400 the unconstrained element averages on the 4-element
     # criss-cross are 1.60 / 7.69 / 1.60 / -4.49 and the state mean 0.219
     return ProblemSpec(
-        name="box-test", domain=(0.0, 0.0, 1.0, 1.0), beta=beta,
+        domain=(0.0, 0.0, 1.0, 1.0), beta=beta,
         y_d=lambda x, y: (np.sin(np.pi * x) * np.sin(np.pi * y) * 20.0
                           + tilt * (x - 0.5)),
         f=None, f_laplacian=None, case="box", delta3=delta3,
