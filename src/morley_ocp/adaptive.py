@@ -142,8 +142,8 @@ def solve_on_mesh(problem, mesh, guess=None):
 def adaptive_solve(problem, adapt=None):
     """Run the adaptive loop until the DOF budget or MAX_ITERATIONS.
 
-    Returns an AdaptiveRun; solver failures and running out of memory
-    raise AdaptiveError naming the iteration.
+    Returns an AdaptiveRun; solver failures, running out of memory and a
+    non-finite estimator raise AdaptiveError naming the iteration.
     """
     adapt = adapt or AdaptConfig()
     lo, hi = problem.square
@@ -166,6 +166,10 @@ def adaptive_solve(problem, adapt=None):
 
         eta_sq = breakdown.eta_sq.sum(axis=1)
         etas, eta_h = np.sqrt(eta_sq), float(np.sqrt(eta_sq.sum()))
+        # any NaN or infinite entry of the indicator table makes eta_h so
+        if not np.isfinite(eta_h):
+            raise AdaptiveError(f"estimator is not finite (eta_h = {eta_h})",
+                                it)
         err = None if report is None else report.energy_error
         act = solution.active[1:]
         rec = RunRecord(

@@ -139,7 +139,7 @@ def assemble_constraints(dofmap: DofMap, problem):
     if problem.case == "integral":
         f_int = 0.0
         if problem.f is not None:
-            f_int = integrate(mesh, problem.f, degree=10)
+            f_int = integrate(mesh, problem.f)
             if not np.isfinite(f_int):
                 raise AssemblyError(f"source integral is not finite: {f_int}")
         control = laplacians.sum(axis=0)

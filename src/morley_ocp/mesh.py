@@ -22,8 +22,6 @@ Conventions
 
 from __future__ import annotations
 
-from functools import cached_property
-
 import numpy as np
 
 CLOSURE_DEPTH_CAP = 64
@@ -42,7 +40,8 @@ class Mesh:
 
     Parameters are taken as given (no reordering): elements must be
     counter-clockwise.  :func:`initial_mesh` builds the coarse mesh and
-    :func:`bisect` every refined one.
+    :func:`bisect` every refined one.  The geometry is computed with the
+    topology in one construction pass, and every array is read-only.
 
     Attributes
     ----------
@@ -54,6 +53,10 @@ class Mesh:
         boundary
     edge_normals : (ne, 2) float array, unit normals (outward on boundary)
     edge_lengths : (ne,) float array
+    areas : (nt,) float array, element areas |T| (positive)
+    h_elements : (nt,) float array, element diameters h_T (longest edge)
+    grad_lambda : (nt, 3, 2) float array, constant gradients of the
+        barycentric coordinates
     interior_edges : (ne,) bool array, True where an edge has two elements
     elem_edges : (nt, 3) int array, global edge id of local edge k
     vertex_on_boundary : (nv,) bool array
@@ -66,6 +69,8 @@ class Mesh:
         self.vertices = np.ascontiguousarray(vertices, dtype=float)
         self.elements = np.ascontiguousarray(elements, dtype=np.int64)
         self.refinement_edge = np.ascontiguousarray(refinement_edge, dtype=np.int64)
+        if self.vertices.ndim != 2 or self.vertices.shape[1] != 2:
+            raise MeshError("vertices must be (nv, 2)")
         if not np.all(np.isfinite(self.vertices)):
             raise MeshError("non-finite vertex coordinates")
         if self.elements.ndim != 2 or self.elements.shape[1] != 3:
@@ -81,9 +86,10 @@ class Mesh:
         for a in (self.vertices, self.elements, self.refinement_edge,
                   self.edges, self.edge_elements, self.edge_normals,
                   self.edge_lengths, self.interior_edges, self.elem_edges,
-                  self.vertex_on_boundary, self.parent):
+                  self.vertex_on_boundary, self.areas, self.h_elements,
+                  self.grad_lambda, self.parent):
             if a is not None:
-                _read_only(a)
+                a.flags.writeable = False
 
     # -- construction ------------------------------------------------
 
@@ -92,7 +98,9 @@ class Mesh:
         if nt and (self.elements.min() < 0 or self.elements.max() >= nv):
             raise MeshError("element vertex id out of range")
         p = self.vertices[self.elements]
-        area2 = _signed_area(p)
+        d1 = p[:, 1] - p[:, 0]
+        d2 = p[:, 2] - p[:, 0]
+        area2 = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]   # twice |T|, signed
         if np.any(area2 <= 0):
             raise MeshError("element with non-positive signed area")
         e0 = self.elements[:, [1, 2]]
@@ -148,6 +156,18 @@ class Mesh:
         vb[uniq[boundary].ravel()] = True
         self.vertex_on_boundary = vb
 
+        self.areas = 0.5 * area2
+        self.h_elements = lengths[self.elem_edges].max(axis=1)
+        # grad(lambda_i): the edge opposite vertex i, run from vertex i + 1
+        # to vertex i + 2, rotated by +90 degrees and divided by 2|T|
+        g = np.empty((nt, 3, 2))
+        for i in range(3):
+            d = p[:, _PREV[i]] - p[:, _NEXT[i]]
+            g[:, i, 0] = -d[:, 1]
+            g[:, i, 1] = d[:, 0]
+        g /= area2[:, None, None]
+        self.grad_lambda = g
+
     # -- sizes and flags ----------------------------------------------
 
     @property
@@ -163,28 +183,6 @@ class Mesh:
         return len(self.edges)
 
     # -- geometry -----------------------------------------------------
-
-    @cached_property
-    def areas(self):
-        """Element areas (positive)."""
-        return _read_only(0.5 * _signed_area(self.vertices[self.elements]))
-
-    @cached_property
-    def h_elements(self):
-        """Element diameters h_T (longest edge)."""
-        return _read_only(self.edge_lengths[self.elem_edges].max(axis=1))
-
-    @cached_property
-    def grad_lambda(self):
-        """(nt, 3, 2) constant gradients of the barycentric coordinates."""
-        p = self.vertices[self.elements]
-        g = np.empty((self.n_elements, 3, 2))
-        twoA = _signed_area(p)[:, None]
-        for i in range(3):
-            d = p[:, (i + 2) % 3] - p[:, (i + 1) % 3]
-            g[:, i, 0] = -d[:, 1]
-            g[:, i, 1] = d[:, 0]
-        return _read_only(g / twoA[:, None])
 
     def physical_points(self, bary):
         """Physical coordinates of shared barycentric points on all elements.
@@ -205,18 +203,6 @@ class Mesh:
         lines += [f"{a} {b} {c}" for a, b, c in self.elements]
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write("\n".join(lines) + "\n")
-
-
-def _read_only(a):
-    a.flags.writeable = False
-    return a
-
-
-def _signed_area(p):
-    """Twice the signed area of triangles given as (..., 3, 2) vertices."""
-    d1 = p[..., 1, :] - p[..., 0, :]
-    d2 = p[..., 2, :] - p[..., 0, :]
-    return d1[..., 0] * d2[..., 1] - d1[..., 1] * d2[..., 0]
 
 
 def initial_mesh(lower, upper, subdivisions):

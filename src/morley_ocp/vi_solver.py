@@ -158,18 +158,18 @@ class SpdSolver:
         self.lu = _symmetric_splu(A)
 
 
-def solve_equality_qp(A, b, rows, targets, spd=None):
+def solve_equality_qp(A, b, rows, targets, spd):
     """Minimize 1/2 x'Ax - b'x subject to rows @ x = targets.
 
     ``rows`` is a sparse (k, n) matrix of linearly independent functionals
     and ``spd`` a factory returning a shared SpdSolver of A, called only on
-    the Schur route (None: factor A here).  Returns (x, multipliers) with
+    the Schur route.  Returns (x, multipliers) with
     the stationarity convention ``A x - b - rows' @ multipliers = 0``.
     """
     n, k = A.shape[0], rows.shape[0]
     if k <= SCHUR_ROW_LIMIT:
         # block elimination with Y = A^{-1} R' and the Schur complement R Y
-        lu = (spd() if spd else SpdSolver(A)).lu
+        lu = spd().lu
         Y = lu.solve(rows.toarray().T)
         S = np.asarray(rows @ Y)
 

@@ -257,6 +257,34 @@ def test_nan_data_fail_the_first_iteration():
     assert info.value.iteration == 0
 
 
+@pytest.mark.parametrize("uniform", [False, True], ids=["adaptive", "uniform"])
+@pytest.mark.parametrize("nan_where", [lambda x: True, lambda x: x > 0.5],
+                         ids=["everywhere", "x>0.5"])
+def test_nan_estimator_fails_the_first_iteration(monkeypatch, capsys, tmp_path,
+                                                 nan_where, uniform):
+    # f_laplacian enters only the estimator: NaN on every element used to
+    # end the study with eta_h = nan and "all element indicators are zero",
+    # NaN on some elements with doerfler_mark's ValueError (exit code 2)
+    import morley_ocp.problems as problems
+
+    prob = example(2)
+    f_lap = prob.f_laplacian
+    prob = dataclasses.replace(prob, f_laplacian=lambda x, y: np.where(
+        nan_where(x), np.nan, f_lap(x, y)))
+    with pytest.raises(AdaptiveError, match="estimator is not finite") \
+            as info:
+        adaptive_solve(prob, AdaptConfig(max_dofs=2000, uniform=uniform))
+    assert info.value.iteration == 0
+
+    monkeypatch.setattr(problems, "example", lambda name: prob)
+    code = cli.run(["solve", "--problem", "ex2", "--max-dofs", "2000",
+                    "--out", str(tmp_path / "run")]
+                   + ["--uniform"] * uniform)
+    assert code == 3
+    assert "solver failure: iteration 0: estimator is not finite" \
+        in capsys.readouterr().err
+
+
 # -- problem data ------------------------------------------------------------
 
 @pytest.mark.parametrize("name, constants", [

@@ -1,5 +1,3 @@
-from functools import cached_property
-
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -41,6 +39,18 @@ def test_vertex_id_out_of_range_rejected():
     verts = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
     with pytest.raises(MeshError, match="out of range"):
         Mesh(verts, np.array([[0, 1, 2], [0, 2, -1]]), np.array([1, 2]))
+
+
+@pytest.mark.parametrize("verts", [
+    [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]],
+    [0.0, 1.0, 0.5],
+    0.0,
+], ids=["nv_by_3", "flat", "scalar"])
+def test_vertex_array_shape_rejected(verts):
+    # (nv, 3) failed inside the topology build with a numpy ValueError and
+    # a 1-D array with an IndexError
+    with pytest.raises(MeshError, match=r"vertices must be \(nv, 2\)"):
+        Mesh(verts, np.array([[0, 1, 2]]), np.array([0]))
 
 
 @pytest.mark.parametrize("edge", [[3], [-1], [0, 1], [[0]]])
@@ -158,16 +168,18 @@ def test_closure_produces_conforming_mesh(unit_cross):
     assert not out.interior_edges.flags.writeable
 
 
-def test_bisected_mesh_arrays_are_read_only(unit_cross):
-    # a write to a cached geometry array would corrupt every later DofMap
-    # and assembly on the mesh
-    out = bisect(uniform_refine(unit_cross, 1), [0, 3])
-    for name, attr in vars(Mesh).items():
-        if isinstance(attr, cached_property):
-            getattr(out, name)
-    arrays = {k: v for k, v in vars(out).items() if isinstance(v, np.ndarray)}
-    assert {"edge_lengths", "areas", "h_elements", "grad_lambda",
-            "parent"} <= arrays.keys()
+@pytest.mark.parametrize("build", [
+    lambda: initial_mesh(0.0, 1.0, 2),
+    lambda: Mesh([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]], [[0, 1, 2]], [0]),
+    lambda: bisect(uniform_refine(initial_mesh(0.0, 1.0, 1), 1), [0, 3]),
+], ids=["initial_mesh", "by_hand", "bisect"])
+def test_mesh_arrays_are_read_only(build):
+    # a write to a geometry array would corrupt every later DofMap and
+    # assembly on the mesh
+    mesh = build()
+    arrays = {k: v for k, v in vars(mesh).items() if isinstance(v, np.ndarray)}
+    assert {"vertices", "edge_lengths", "areas", "h_elements",
+            "grad_lambda"} <= arrays.keys()
     assert [k for k, v in arrays.items() if v.flags.writeable] == []
 
 

@@ -30,7 +30,8 @@ def _no_rows(n):
 
 def test_solve_spd_zero_rhs():
     A = sp.csr_matrix(np.diag([1.0, 2.0, 3.0]))
-    x, nu = solve_equality_qp(A, np.zeros(3), _no_rows(3), [])
+    x, nu = solve_equality_qp(A, np.zeros(3), _no_rows(3), [],
+                              lambda: vi_solver.SpdSolver(A))
     assert np.all(x == 0) and len(nu) == 0
 
 
@@ -38,7 +39,8 @@ def test_solve_spd_diagonal():
     d = np.array([2.0, 4.0, 8.0, 16.0])
     A = sp.csr_matrix(np.diag(d))
     rhs = np.array([2.0, 4.0, 8.0, 16.0])
-    x, _ = solve_equality_qp(A, rhs, _no_rows(4), [])
+    x, _ = solve_equality_qp(A, rhs, _no_rows(4), [],
+                             lambda: vi_solver.SpdSolver(A))
     assert np.allclose(x, np.ones(4), atol=1e-14)
 
 
@@ -47,21 +49,24 @@ def test_solve_spd_random_matrix_residual():
     M = rng.standard_normal((50, 50))
     A = sp.csr_matrix(M @ M.T + 50 * np.eye(50))
     b = rng.standard_normal(50)
-    x, _ = solve_equality_qp(A, b, _no_rows(50), [])
+    x, _ = solve_equality_qp(A, b, _no_rows(50), [],
+                             lambda: vi_solver.SpdSolver(A))
     assert np.linalg.norm(A @ x - b) / np.linalg.norm(b) <= 1e-12
 
 
 def test_singular_factorization_raises():
+    A = sp.csr_matrix(np.diag([1.0, 0.0]))
     with pytest.raises(SolverError, match="factorization failed"):
-        solve_equality_qp(sp.csr_matrix(np.diag([1.0, 0.0])), np.ones(2),
-                          _no_rows(2), [])
+        solve_equality_qp(A, np.ones(2), _no_rows(2), [],
+                          lambda: vi_solver.SpdSolver(A))
 
 
 def test_nan_rhs_raises():
     # a NaN residual compares false against every limit; it must not pass
+    A = sp.csr_matrix(np.diag([1.0, 2.0]))
     with pytest.raises(SolverError, match="linear solve failed"):
-        solve_equality_qp(sp.csr_matrix(np.diag([1.0, 2.0])),
-                          np.array([np.nan, 1.0]), _no_rows(2), [])
+        solve_equality_qp(A, np.array([np.nan, 1.0]), _no_rows(2), [],
+                          lambda: vi_solver.SpdSolver(A))
 
 
 def test_pdas_iteration_cap_raises(monkeypatch):
@@ -79,7 +84,8 @@ def test_pdas_iteration_cap_raises(monkeypatch):
 
 def test_equality_qp_no_rows(unit_cross):
     dm, A, b, cons = setup_case_i(manufactured(0), unit_cross)
-    x, nu = solve_equality_qp(A, b, sp.csr_matrix((0, len(b))), [])
+    x, nu = solve_equality_qp(A, b, sp.csr_matrix((0, len(b))), [],
+                              lambda: vi_solver.SpdSolver(A))
     assert len(nu) == 0
     assert np.linalg.norm(A @ x - b, np.inf) < 1e-9 * np.abs(b).max()
 
@@ -88,7 +94,7 @@ def test_equality_qp_single_row(unit_cross):
     dm, A, b, cons = setup_case_i(manufactured(0), unit_cross)
     t = 0.123
     state = cons.rows[[0]]
-    x, nu = solve_equality_qp(A, b, state, [t])
+    x, nu = solve_equality_qp(A, b, state, [t], lambda: vi_solver.SpdSolver(A))
     assert (state @ x)[0] == pytest.approx(t, abs=1e-10)
     r = A @ x - b - state.T @ nu
     assert np.abs(r).max() < 1e-10 * max(1, np.abs(b).max())
@@ -98,7 +104,8 @@ def test_equality_qp_two_rows(unit_cross):
     dm, A, b, cons = setup_case_i(manufactured(0), unit_cross)
     rows = cons.rows                # the state and the control row
     targets = [0.05, 1.5]
-    x, nu = solve_equality_qp(A, b, rows, targets)
+    x, nu = solve_equality_qp(A, b, rows, targets,
+                              lambda: vi_solver.SpdSolver(A))
     assert (rows @ x)[0] == pytest.approx(0.05, abs=1e-10)
     assert (rows @ x)[1] == pytest.approx(1.5, abs=1e-9)
     r = A @ x - b - rows.T @ nu
@@ -134,10 +141,12 @@ def test_equality_qp_saddle_path_matches_schur(monkeypatch):
         k = R.shape[0]
         built.clear()
         monkeypatch.setattr(vs, "SCHUR_ROW_LIMIT", k)
-        x1, nu1 = solve_equality_qp(A, b, R, targets)
+        x1, nu1 = solve_equality_qp(A, b, R, targets,
+                                    lambda: vi_solver.SpdSolver(A))
         assert len(built) == 1
         monkeypatch.setattr(vs, "SCHUR_ROW_LIMIT", k - 1)
-        x2, nu2 = solve_equality_qp(A, b, R, targets)
+        x2, nu2 = solve_equality_qp(A, b, R, targets,
+                                    lambda: vi_solver.SpdSolver(A))
         assert len(built) == 1
         assert np.allclose(x1, x2, atol=1e-9)
         assert np.allclose(nu1, nu2, atol=1e-9)
@@ -188,7 +197,8 @@ def test_poor_approximate_inverse_fails_the_certificate(monkeypatch):
         for limit in (R.shape[0], R.shape[0] - 1):      # Schur, saddle
             monkeypatch.setattr(vi_solver, "SCHUR_ROW_LIMIT", limit)
             with pytest.raises(SolverError, match="linear solve failed"):
-                solve_equality_qp(A, b, R, targets)
+                solve_equality_qp(A, b, R, targets,
+                                  lambda: vi_solver.SpdSolver(A))
 
 
 def test_equality_qp_saddle_dependent_rows_raise():
@@ -200,7 +210,7 @@ def test_equality_qp_saddle_dependent_rows_raise():
     R = sp.vstack([R, R[1]], format="csr")
     targets = np.r_[targets, targets[1] + max(1.0, abs(targets[1]))]
     with pytest.raises(SolverError):
-        solve_equality_qp(A, b, R, targets)
+        solve_equality_qp(A, b, R, targets, lambda: vi_solver.SpdSolver(A))
 
 
 # -- integral case --------------------------------------------------------
@@ -507,7 +517,8 @@ def test_degenerate_rows_do_not_stall_pdas():
     prob = example(4)
     A, b = assemble(dm, prob)
     cons = assemble_constraints(dm, prob)
-    x, _ = solve_equality_qp(A, b, cons.rows[:0], [])
+    x, _ = solve_equality_qp(A, b, cons.rows[:0], [],
+                             lambda: vi_solver.SpdSolver(A))
     values = cons.rows @ x
     cons = dataclasses.replace(cons, lower=values,
                                upper=np.r_[np.inf, values[1:] + 1.0])
