@@ -23,8 +23,9 @@ def main():
     print(f"designed multiplier mu* = {mu_star:.12f}")
     mesh = initial_mesh(0.0, 1.0, 2)
     for level in range(args.levels):
-        dm, sol, *_ = solve_on_mesh(prob, mesh)
-        print(f"level {level}: dofs={dm.n_dofs:7d} mu_h={sol.mu:.12f} "
+        sol, *_ = solve_on_mesh(prob, mesh)
+        print(f"level {level}: dofs={sol.coefficients.size:7d} "
+              f"mu_h={sol.mu:.12f} "
               f"|mu_h - mu*|={abs(sol.mu - mu_star):.3e} "
               f"state_active={bool(sol.active[0])}")
         mesh = uniform_refine(mesh, 1)

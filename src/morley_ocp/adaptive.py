@@ -21,7 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-from .assembly import assemble_constraints, assemble_system
+from .assembly import AssemblyError, assemble_constraints, assemble_system
 from .element import DofMap, sample
 from .estimator import estimate, true_error
 from .mesh import bisect, initial_mesh
@@ -39,7 +39,7 @@ TIE_TOLERANCE = 1e-10
 
 
 class AdaptiveError(Exception):
-    """Solver failure with the adaptive iteration attached."""
+    """A failed level of the study, with the adaptive iteration attached."""
 
     def __init__(self, message, iteration):
         super().__init__(f"iteration {iteration}: {message}")
@@ -96,9 +96,9 @@ class AdaptiveRun:
     """Record list plus the final mesh/solution for post-processing."""
 
     records: list
-    mesh: object = None
-    solution: object = None
-    breakdown: object = None
+    mesh: object
+    solution: object
+    breakdown: object
 
 
 def doerfler_mark(indicators, theta):
@@ -122,9 +122,9 @@ def doerfler_mark(indicators, theta):
 
 
 def solve_on_mesh(problem, mesh, guess=None):
-    """One SOLVE+ESTIMATE pass; returns (dofmap, solution, breakdown,
-    error_report, kkt).  ``guess`` is the starting active set, per
-    constraint row."""
+    """One SOLVE+ESTIMATE pass; returns (solution, breakdown, error_report,
+    kkt), and the level's DofMap and system die with the call.  ``guess``
+    is the starting active set, per constraint row."""
     dofmap = DofMap(mesh)
     yd = sample(problem.y_d, dofmap.points)
     A, b = assemble_system(dofmap, problem, yd)
@@ -136,28 +136,28 @@ def solve_on_mesh(problem, mesh, guess=None):
     if problem.exact is not None:
         report = true_error(dofmap, solution.coefficients, problem.exact,
                             problem.beta)
-    return dofmap, solution, breakdown, report, kkt
+    return solution, breakdown, report, kkt
 
 
 def adaptive_solve(problem, adapt=None):
     """Run the adaptive loop until the DOF budget or MAX_ITERATIONS.
 
-    Returns an AdaptiveRun; solver failures, running out of memory and a
-    non-finite estimator raise AdaptiveError naming the iteration.
+    Returns an AdaptiveRun of the records and the last level; solver and
+    assembly failures, running out of memory and a non-finite estimator
+    raise AdaptiveError naming the iteration.
     """
     adapt = adapt or AdaptConfig()
     lo, hi = problem.square
     mesh = initial_mesh(lo, hi, adapt.initial_subdivisions)
     records = []
-    run = AdaptiveRun(records)
     guess = None
 
     for it in range(MAX_ITERATIONS):
         t0 = time.perf_counter()
         try:
-            dofmap, solution, breakdown, report, kkt = solve_on_mesh(
-                problem, mesh, guess)
-        except SolverError as exc:
+            solution, breakdown, report, kkt = solve_on_mesh(problem, mesh,
+                                                             guess)
+        except (SolverError, AssemblyError) as exc:
             raise AdaptiveError(str(exc), it) from exc
         except MemoryError as exc:
             raise AdaptiveError(f"out of memory on {mesh.n_elements} "
@@ -173,7 +173,8 @@ def adaptive_solve(problem, adapt=None):
         err = None if report is None else report.energy_error
         act = solution.active[1:]
         rec = RunRecord(
-            iteration=it, dofs=dofmap.n_dofs, elements=mesh.n_elements,
+            iteration=it, dofs=solution.coefficients.size,
+            elements=mesh.n_elements,
             eta_h=eta_h, eta1=float(etas[0]), eta2=float(etas[1]),
             eta3=float(etas[2]), eta4=float(etas[3]), eta5=float(etas[4]),
             energy_error=err,
@@ -193,14 +194,12 @@ def adaptive_solve(problem, adapt=None):
             wall_ms=wall_ms,
         )
         records.append(rec)
-        run.mesh, run.breakdown = mesh, breakdown
-        run.solution = solution
         logger.info("it=%d dofs=%d eta=%.4e err=%s wall=%.0fms",
                     it, rec.dofs, rec.eta_h,
                     "-" if rec.energy_error is None else f"{rec.energy_error:.4e}",
                     wall_ms)
 
-        if dofmap.n_dofs > adapt.max_dofs or it + 1 >= MAX_ITERATIONS:
+        if rec.dofs > adapt.max_dofs or it + 1 >= MAX_ITERATIONS:
             break
         if adapt.uniform:
             marked = np.arange(mesh.n_elements)
@@ -215,4 +214,5 @@ def adaptive_solve(problem, adapt=None):
         if problem.case == "box":
             guess = guess[np.r_[0, 1 + mesh.parent]]
 
-    return run
+    # every exit is a break before bisect, so these names hold the last level
+    return AdaptiveRun(records, mesh, solution, breakdown)

@@ -40,8 +40,14 @@ def _cell(v):
 
 def _record_rows(records):
     """CSV rows of record dicts: the CSV_COLUMNS fields, ``iter`` renamed."""
-    return [{c: d["iteration" if c == "iter" else c] for c in CSV_COLUMNS}
+    return [{c: d.get("iteration" if c == "iter" else c) for c in CSV_COLUMNS}
             for d in records]
+
+
+def _run_label(config, name):
+    """``<problem> uniform`` or ``<problem> adaptive``, from a run's config."""
+    return (str(config.get("problem", name))
+            + (" uniform" if config.get("uniform") else " adaptive"))
 
 
 def _write_csv(path, rows, columns):
@@ -144,6 +150,21 @@ def _svg_plot(path, series, xlabel, ylabel, logy=True, guide_slope=None):
     Path(path).write_text("\n".join(out) + "\n", encoding="utf-8")
 
 
+def _convergence_svg(path, runs):
+    """Log-log eta_h and energy error against DoFs of (label, records) runs."""
+    series = []
+    for label, records in runs:
+        series.append((f"eta_h ({label})", [r["dofs"] for r in records],
+                       [r["eta_h"] for r in records]))
+        errs = [(r["dofs"], r["energy_error"]) for r in records
+                if r.get("energy_error") is not None]
+        if errs:
+            series.append((f"error ({label})", [d for d, _ in errs],
+                           [e for _, e in errs]))
+    _svg_plot(path, series, "degrees of freedom", "estimator / error",
+              logy=True, guide_slope=-0.5)
+
+
 def _indicator_rows(breakdown):
     """One row per element, read off the estimator table."""
     eta = breakdown.eta_sq
@@ -175,7 +196,7 @@ def run_solve(args):
     try:
         run = adaptive_solve(problem, adapt)
     except AdaptiveError as exc:
-        print(f"solver failure: {exc}", file=sys.stderr)
+        print(f"study failed: {exc}", file=sys.stderr)
         return 3
 
     out = Path(args.out or f"runs/{args.problem}"
@@ -205,15 +226,8 @@ def run_solve(args):
                INDICATOR_COLUMNS)
 
     if args.svg:
-        label = args.problem + (" uniform" if args.uniform else " adaptive")
-        series = [(f"eta_h ({label})", [r["dofs"] for r in rows],
-                   [r["eta_h"] for r in rows])]
-        if any(r["energy_error"] is not None for r in rows):
-            series.append((f"error ({label})",
-                           [r["dofs"] for r in rows if r["energy_error"] is not None],
-                           [r["energy_error"] for r in rows if r["energy_error"] is not None]))
-        _svg_plot(out / "convergence.svg", series, "degrees of freedom",
-                  "estimator / error", logy=True, guide_slope=-0.5)
+        label = _run_label(payload["config"], args.problem)
+        _convergence_svg(out / "convergence.svg", [(label, records)])
         eff = [(r["dofs"], r["eff_index"]) for r in rows
                if r["eff_index"] is not None]
         if eff:
@@ -248,34 +262,17 @@ def run_report(args):
                 or not all(map(_is_record, records))):
             print(f"schema mismatch in {p}", file=sys.stderr)
             return 2
-        label = str(cfg.get("problem", p.stem)) \
-            + (" uniform" if cfg.get("uniform") else " adaptive")
-        runs.append((label, records))
+        runs.append((_run_label(cfg, p.stem), records))
 
     out = Path(args.out or "report")
     out.mkdir(parents=True, exist_ok=True)
-    rows = []
-    for label, records in runs:
-        for r in records:
-            rows.append({"source": label, "iter": r["iteration"],
-                         "dofs": r["dofs"], "eta_h": r["eta_h"],
-                         "energy_error": r.get("energy_error"),
-                         "eff_index": r.get("eff_index")})
+    rows = [dict(row, source=label) for label, records in runs
+            for row in _record_rows(records)]
     rows.sort(key=lambda r: (r["source"], r["dofs"]))
     _write_csv(out / "comparison.csv", rows,
                ["source", "iter", "dofs", "eta_h", "energy_error", "eff_index"])
 
-    series = []
-    for label, records in runs:
-        series.append((f"eta_h ({label})", [r["dofs"] for r in records],
-                       [r["eta_h"] for r in records]))
-        errs = [(r["dofs"], r["energy_error"]) for r in records
-                if r.get("energy_error") is not None]
-        if errs:
-            series.append((f"error ({label})", [d for d, _ in errs],
-                           [e for _, e in errs]))
-    _svg_plot(out / "comparison.svg", series, "degrees of freedom",
-              "estimator / error", logy=True, guide_slope=-0.5)
+    _convergence_svg(out / "comparison.svg", runs)
     print(f"wrote {out}/comparison.csv ({len(rows)} rows from {len(runs)} runs)")
     return 0
 

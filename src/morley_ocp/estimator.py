@@ -75,8 +75,6 @@ def eta_edges(dofmap: DofMap, y, beta):
     eta3 = np.zeros(ne)
     eta4 = np.zeros(ne)
     ids = np.flatnonzero(mesh.interior_edges)
-    if len(ids) == 0:
-        return eta2, eta3, eta4
 
     # y_h on the Gauss points of every element's three local edges
     rule = edge_rule(EDGE_RULE_DEGREE)

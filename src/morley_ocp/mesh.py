@@ -16,8 +16,9 @@ Conventions
   edge normal is the unit tangent (first endpoint -> second) rotated by
   +90 degrees, except on the boundary where the normal is flipped to point
   outward if necessary.
-* For interior edges the "plus" element is the one the normal points away
-  from, i.e. the normal points from plus to minus.
+* Counter-clockwise neighbours run a shared edge in opposite directions.
+  The "plus" element is the one that runs it from its higher vertex id;
+  the normal points out of it, i.e. from plus to minus.
 """
 
 from __future__ import annotations
@@ -66,9 +67,10 @@ class Mesh:
     """
 
     def __init__(self, vertices, elements, refinement_edge, parent=None):
-        self.vertices = np.ascontiguousarray(vertices, dtype=float)
-        self.elements = np.ascontiguousarray(elements, dtype=np.int64)
-        self.refinement_edge = np.ascontiguousarray(refinement_edge, dtype=np.int64)
+        # copies: the loop below makes every array read-only
+        self.vertices = np.array(vertices, dtype=float)
+        self.elements = np.array(elements, dtype=np.int64)
+        self.refinement_edge = np.array(refinement_edge, dtype=np.int64)
         if self.vertices.ndim != 2 or self.vertices.shape[1] != 2:
             raise MeshError("vertices must be (nv, 2)")
         if not np.all(np.isfinite(self.vertices)):
@@ -123,29 +125,21 @@ class Mesh:
 
         tang = self.vertices[uniq[:, 1]] - self.vertices[uniq[:, 0]]
         lengths = np.hypot(tang[:, 0], tang[:, 1])
-        if np.any(lengths == 0):
-            raise MeshError("zero-length edge")
         tang = tang / lengths[:, None]
         normals = np.stack([-tang[:, 1], tang[:, 0]], axis=1)
 
-        # entry i of ``inverse`` is an edge of element i % nt; a stable sort
-        # keeps that order, and an edge's second occurrence takes slot 1
-        order = np.argsort(inverse, kind="stable")
+        # entry i of ``inverse`` is an edge of element i % nt; the normal
+        # points into an element that runs its edge ``forward`` (from the
+        # lower id), so sorting on it puts "plus" in slot 0, and a boundary
+        # edge whose element runs it forward gets its normal flipped
+        forward = all_edges[:, 0] < all_edges[:, 1]
+        order = np.argsort(2 * inverse + forward, kind="stable")
         gid = inverse[order]
         second = np.r_[False, gid[1:] == gid[:-1]]
         adj = np.full((ne, 2), -1, dtype=np.int64)
         adj[gid, second.astype(np.int64)] = order % nt
-
-        centroids = p.mean(axis=1)
-        mids = 0.5 * (self.vertices[uniq[:, 0]] + self.vertices[uniq[:, 1]])
+        normals[forward[order[~second]]] *= -1.0
         boundary = counts == 1
-        # boundary: flip the normal outward if needed; interior: order the
-        # pair (plus, minus) so the normal points from plus toward minus.
-        s0 = np.einsum("ij,ij->i", normals, centroids[adj[:, 0]] - mids)
-        flip_b = boundary & (s0 > 0)
-        normals[flip_b] *= -1.0
-        swap = (~boundary) & (s0 > 0)
-        adj[swap] = adj[swap][:, ::-1]
 
         self.edge_elements = adj
         self.edge_normals = normals

@@ -200,7 +200,7 @@ def test_solver_failure_names_the_iteration(monkeypatch, capsys, tmp_path):
     code = cli.run(["solve", "--problem", "manufactured", "--subdivisions",
                     "1", "--out", str(tmp_path / "run")])
     assert code == 3
-    assert "solver failure: iteration 1" in capsys.readouterr().err
+    assert "study failed: iteration 1" in capsys.readouterr().err
 
 
 def test_out_of_memory_is_a_solver_failure(monkeypatch, capsys, tmp_path):
@@ -221,7 +221,7 @@ def test_out_of_memory_is_a_solver_failure(monkeypatch, capsys, tmp_path):
                     "1", "--out", str(tmp_path / "run")])
     assert code == 3
     err = capsys.readouterr().err
-    assert "solver failure: iteration 0: out of memory" in err
+    assert "study failed: iteration 0: out of memory" in err
     assert not (tmp_path / "run").exists()
 
 
@@ -242,7 +242,7 @@ def test_superlu_malloc_failure_is_a_solver_failure(monkeypatch, capsys,
     code = cli.run(["solve", "--problem", "manufactured", "--subdivisions",
                     "1", "--out", str(tmp_path / "run")])
     assert code == 3
-    assert "solver failure: iteration 0" in capsys.readouterr().err
+    assert "study failed: iteration 0" in capsys.readouterr().err
 
 
 def test_nan_data_fail_the_first_iteration():
@@ -281,8 +281,60 @@ def test_nan_estimator_fails_the_first_iteration(monkeypatch, capsys, tmp_path,
                     "--out", str(tmp_path / "run")]
                    + ["--uniform"] * uniform)
     assert code == 3
-    assert "solver failure: iteration 0: estimator is not finite" \
+    assert "study failed: iteration 0: estimator is not finite" \
         in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name, field, match", [
+    ("ex4", "u_b", "non-finite Q_T"),
+    ("ex2", "f", "source integral is not finite"),
+], ids=["ex4-u_b", "ex2-f"])
+def test_nan_constraint_data_fail_the_first_iteration(monkeypatch, capsys,
+                                                      tmp_path, name, field,
+                                                      match):
+    # a NaN box bound or source integral makes assemble_constraints raise
+    # AssemblyError; it must end the study as AdaptiveError naming the
+    # iteration, and `solve` as exit code 3, not as a traceback
+    import morley_ocp.problems as problems
+
+    prob = example(int(name[2:]))
+    data = getattr(prob, field)
+    prob = dataclasses.replace(prob, **{field: lambda x, y: np.where(
+        x > 0.5, np.nan, data(x, y))})
+    with pytest.raises(AdaptiveError, match=match) as info:
+        adaptive_solve(prob, AdaptConfig(max_dofs=2000))
+    assert info.value.iteration == 0
+
+    monkeypatch.setattr(problems, "example", lambda name: prob)
+    code = cli.run(["solve", "--problem", name, "--max-dofs", "2000",
+                    "--out", str(tmp_path / "run")])
+    assert code == 3
+    assert "study failed: iteration 0: " in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+def test_each_level_frees_the_previous_mesh_and_dofmap(monkeypatch):
+    # the loop holds one level at a time: when a level's DofMap is built,
+    # no earlier level's DofMap or Mesh is alive
+    import weakref
+    import morley_ocp.adaptive as adaptive
+
+    refs, alive = [], []
+
+    class Watched(DofMap):
+        def __init__(self, mesh):
+            alive.append(sum(ref() is not None for ref in refs))
+            super().__init__(mesh)
+            refs.extend((weakref.ref(self), weakref.ref(mesh)))
+
+    monkeypatch.setattr(adaptive, "DofMap", Watched)
+    run = adaptive_solve(example(4), AdaptConfig(max_dofs=1500))
+    assert len(alive) == len(run.records) > 3
+    assert alive == [0] * len(alive)
+    # the run keeps the last level's mesh, and no DofMap
+    assert [ref() for ref in refs[1::2]] == [None] * (len(alive) - 1) \
+        + [run.mesh]
+    assert all(ref() is None for ref in refs[::2])
 
 
 # -- problem data ------------------------------------------------------------

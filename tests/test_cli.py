@@ -140,6 +140,15 @@ def test_report_svg_is_pure_function(ex1_run, tmp_path):
     assert outs[0] == outs[1]
 
 
+def test_report_svg_equals_solve_svg(ex1_run, tmp_path):
+    # solve and report draw a run's estimator and error with one plot path
+    out = tmp_path / "rep"
+    res = run_cli(["report", str(ex1_run / "run.json"), "--out", str(out)])
+    assert res.returncode == 0, res.stderr
+    assert ((out / "comparison.svg").read_bytes()
+            == (ex1_run / "convergence.svg").read_bytes())
+
+
 def test_report_corrupted_json_exits_2(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")

@@ -68,6 +68,12 @@ def test_edge_terms_interior_only(unit_cross):
     b = ~unit_cross.interior_edges
     assert np.all(e2[b] == 0) and np.all(e3[b] == 0) and np.all(e4[b] == 0)
     assert e2[~b].sum() > 0
+    # a mesh with no interior edge gives zeros on every (boundary) edge
+    one = Mesh([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]], [[0, 1, 2]], [0])
+    dm = DofMap(one)
+    terms = eta_edges(dm, rng.standard_normal(dm.n_dofs), 1.0)
+    for term in terms:
+        np.testing.assert_array_equal(term, np.zeros(3))
 
 
 def test_interpolated_quadratic_edge_terms_match_oracle(unit_cross):

@@ -183,6 +183,19 @@ def test_mesh_arrays_are_read_only(build):
     assert [k for k, v in arrays.items() if v.flags.writeable] == []
 
 
+def test_mesh_copies_its_input_arrays():
+    # the read-only flags belong to the mesh's own copies: the caller's
+    # contiguous float64 and int64 arrays stay writable and unshared
+    v = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    e = np.array([[0, 1, 2]], dtype=np.int64)
+    r = np.array([0], dtype=np.int64)
+    m = Mesh(v, e, r)
+    for given, kept in ((v, m.vertices), (e, m.elements),
+                        (r, m.refinement_edge)):
+        assert given.flags.writeable
+        assert not np.shares_memory(given, kept)
+
+
 def test_export_text(tmp_path, unit_cross):
     path = tmp_path / "mesh.txt"
     unit_cross.export_text(path)
