@@ -33,7 +33,7 @@ def _pin_threads():
 _pin_threads()  # before any numpy import below
 
 from .mesh import Mesh, MeshError, bisect, initial_mesh, uniform_refine  # noqa: E402
-from .element import DofMap, integrate  # noqa: E402
+from .element import DofMap  # noqa: E402
 from .assembly import (ConstraintSet, assemble_constraints,  # noqa: E402
                        assemble_system, element_laplacian_rows)
 from .vi_solver import (SolverError, SpdSolver, ViSolution,  # noqa: E402
@@ -47,7 +47,7 @@ from .problems import (ExactSolution, ProblemSpec, example,  # noqa: E402
 
 __all__ = [
     "Mesh", "MeshError", "bisect", "initial_mesh", "uniform_refine",
-    "DofMap", "integrate",
+    "DofMap",
     "ConstraintSet", "assemble_constraints", "assemble_system",
     "element_laplacian_rows",
     "SolverError", "SpdSolver", "ViSolution",

@@ -56,8 +56,8 @@ class AdaptConfig:
     def __post_init__(self):
         if not 0.0 < self.theta < 1.0:
             raise ValueError("theta must lie in (0, 1)")
-        if self.initial_subdivisions < 1:
-            raise ValueError("initial_subdivisions must be >= 1")
+        if self.initial_subdivisions % 1 or self.initial_subdivisions < 1:
+            raise ValueError("initial_subdivisions must be an integer >= 1")
 
 
 @dataclass

@@ -18,7 +18,8 @@ stores no exact zeros.
 
 Constraint rows are exact as well: ``int_T w = |T| * Q_T(w)`` touches only
 the element-average DOF, and ``int_T Delta w = sum_e sign * h_e * (edge
-mean of dw/dn)`` by the divergence theorem touches only edge DOFs.
+mean of dw/dn)`` by the divergence theorem touches only edge DOFs.  The
+bounds read ``f``, ``u_a`` and ``u_b`` at ``DofMap.points`` too.
 """
 
 from __future__ import annotations
@@ -28,9 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .element import (DATA_RULE, DofMap, N_LOCAL, integrate,
-                      prim_laplacian_moments, prim_stiffness, prim_values,
-                      sample)
+from .element import (DATA_RULE, DofMap, N_LOCAL, prim_laplacian_moments,
+                      prim_stiffness, prim_values, sample)
 
 _CHUNK = 8192
 
@@ -94,7 +94,7 @@ def assemble_system(dofmap: DofMap, problem, yd):
     kept = slots >= 0
     b = np.bincount(slots[kept], weights=loads.ravel()[kept], minlength=n)
     S = sp.csr_matrix(
-        (np.ones(np.count_nonzero(kept)), slots[kept].astype(np.int32),
+        (np.ones(np.count_nonzero(kept)), slots[kept],
          np.r_[0, np.cumsum(kept, dtype=np.int32)]), shape=(slots.size, n))
     local = np.arange(slots.size, dtype=np.int32).reshape(nt, 1, N_LOCAL)
     B = sp.csr_matrix(
@@ -124,7 +124,7 @@ def element_laplacian_rows(dofmap: DofMap):
     sign = np.where(mesh.edge_elements[gids, 0] == np.arange(nt)[:, None], 1.0, -1.0)
     data = -(sign * mesh.edge_lengths[gids]).ravel()
     rows = np.repeat(np.arange(nt), 3)
-    cols = dofmap.edge_dof[gids].ravel()
+    cols = dofmap.cell_dofs[:, 3:6].ravel()
     return sp.csr_matrix((data, (rows, cols)), shape=(nt, dofmap.n_dofs))
 
 
@@ -132,14 +132,15 @@ def assemble_constraints(dofmap: DofMap, problem):
     """Assemble the ConstraintSet for a ProblemSpec."""
     mesh = dofmap.mesh
     state_row = np.zeros(dofmap.n_dofs)
-    state_row[dofmap.bubble_dof] = mesh.areas
+    state_row[dofmap.cell_dofs[:, 6]] = mesh.areas
     laplacians = element_laplacian_rows(dofmap)
     omega = float(mesh.areas.sum())
 
     if problem.case == "integral":
         f_int = 0.0
         if problem.f is not None:
-            f_int = integrate(mesh, problem.f)
+            f_int = float(mesh.areas @ (sample(problem.f, dofmap.points)
+                                        @ DATA_RULE.weights))
             if not np.isfinite(f_int):
                 raise AssemblyError(f"source integral is not finite: {f_int}")
         control = laplacians.sum(axis=0)

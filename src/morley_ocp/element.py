@@ -98,8 +98,8 @@ def triangle_rule(exact_degree):
     return QuadratureRule(pts, wts)
 
 
-# the one rule at which the load, the box bounds and the interior residual
-# read the problem data
+# the one rule at which the load, the constraint bounds and the interior
+# residual read the problem data
 DATA_RULE = triangle_rule(6)
 
 
@@ -242,8 +242,9 @@ class DofMap:
     """Global DOF numbering and per-element nodal bases.
 
     Layout: interior-vertex DOFs first (ascending vertex id), then one DOF
-    per edge (ascending edge id), then one per element.  ``cell_dofs`` maps
-    each element to its 7 global DOFs with -1 for pinned boundary-vertex
+    per edge (ascending edge id), then one per element.  ``cell_dofs``
+    (nt, 7) int32 is the one layout table: each element's 3 vertex, 3 edge
+    (local edge order) and bubble DOFs, with -1 for pinned boundary-vertex
     slots.  ``points`` (nt, 16, 2) are the physical ``DATA_RULE`` points.
     """
 
@@ -252,17 +253,15 @@ class DofMap:
         nv, ne, nt = mesh.n_vertices, mesh.n_edges, mesh.n_elements
 
         interior = np.flatnonzero(~mesh.vertex_on_boundary)
-        self.vertex_dof = np.full(nv, -1, dtype=np.int64)
-        self.vertex_dof[interior] = np.arange(len(interior))
         nvi = len(interior)
-        self.edge_dof = nvi + np.arange(ne)
-        self.bubble_dof = nvi + ne + np.arange(nt)
+        vertex_dof = np.full(nv, -1, dtype=np.int32)
+        vertex_dof[interior] = np.arange(nvi)
         self.n_dofs = nvi + ne + nt
 
-        self.cell_dofs = np.empty((nt, N_LOCAL), dtype=np.int64)
-        self.cell_dofs[:, :3] = self.vertex_dof[mesh.elements]
-        self.cell_dofs[:, 3:6] = self.edge_dof[mesh.elem_edges]
-        self.cell_dofs[:, 6] = self.bubble_dof
+        self.cell_dofs = np.empty((nt, N_LOCAL), dtype=np.int32)
+        self.cell_dofs[:, :3] = vertex_dof[mesh.elements]
+        self.cell_dofs[:, 3:6] = nvi + mesh.elem_edges
+        self.cell_dofs[:, 6] = nvi + ne + np.arange(nt)
 
         # with GN[t, k, m] = grad(lam_m) . n_k summing to zero over m, the
         # edge-k row is g_k R_k + s_k (vertex k+1 row - vertex k+2 row)
@@ -304,14 +303,3 @@ class DofMap:
         Gq = G[:, None]
         hess = np.swapaxes(Gq, 2, 3) @ hl @ Gq
         return val, grad, hess
-
-
-# ----------------------------------------------------------------------
-# integration
-# ----------------------------------------------------------------------
-
-def integrate(mesh: Mesh, fn):
-    """int_Omega fn(x, y) dx by the degree-10 triangle rule per element."""
-    rule = triangle_rule(10)
-    vals = sample(fn, mesh.physical_points(rule.points))
-    return float(mesh.areas @ (vals @ rule.weights))

@@ -207,8 +207,8 @@ def initial_mesh(lower, upper, subdivisions):
     edge), which makes the assignment NVB-compatible.
     """
     n = int(subdivisions)
-    if n < 1:
-        raise MeshError("subdivisions must be >= 1")
+    if n != subdivisions or n < 1:
+        raise MeshError("subdivisions must be an integer >= 1")
     x0, y0 = (float(lower), float(lower)) if np.isscalar(lower) else map(float, lower)
     x1, y1 = (float(upper), float(upper)) if np.isscalar(upper) else map(float, upper)
     if x1 <= x0 or y1 <= y0:

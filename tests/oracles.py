@@ -13,7 +13,8 @@ reference inverse), and ``eval_function_einsum`` checks only the
 contraction order of ``DofMap.eval_function``.
 
 The last section holds tools of the method's analysis that the solver
-loop never calls: the interpolation operator I_h (it uses the package's
+loop never calls: the vertex, edge and bubble DOF arrays read off
+``DofMap.cell_dofs``, the interpolation operator I_h (it uses the package's
 quadrature rules), a Slater-point check of the problem data, the minimum
 angle of a mesh, a conformity check of a mesh of a rectangle, a
 per-entry loop reference for the vectorized ``Mesh.edge_elements`` fill,
@@ -456,6 +457,17 @@ def exhaustive_box_solve(A, b, rows, lower, upper, tol=1e-9):
 # analysis tools used only as checks
 # ---------------------------------------------------------------------
 
+def dof_index(dofmap):
+    """(vertex, edge, bubble) global DOF arrays of shapes (nv,), (ne,) and
+    (nt,), read off ``cell_dofs``; a pinned boundary vertex reads -1."""
+    mesh = dofmap.mesh
+    vertex = np.full(mesh.n_vertices, -1, dtype=np.int64)
+    vertex[mesh.elements] = dofmap.cell_dofs[:, :3]
+    edge = np.empty(mesh.n_edges, dtype=np.int64)
+    edge[mesh.elem_edges] = dofmap.cell_dofs[:, 3:6]
+    return vertex, edge, dofmap.cell_dofs[:, 6]
+
+
 def interpolate(dofmap, value, gradient):
     """Coefficients of the interpolant I_h of a smooth field.
 
@@ -467,10 +479,11 @@ def interpolate(dofmap, value, gradient):
     """
     mesh = dofmap.mesh
     coeffs = np.zeros(dofmap.n_dofs)
+    vertex_dof, edge_dof, bubble_dof = dof_index(dofmap)
 
-    interior = np.flatnonzero(dofmap.vertex_dof >= 0)
+    interior = np.flatnonzero(vertex_dof >= 0)
     pv = mesh.vertices[interior]
-    coeffs[dofmap.vertex_dof[interior]] = value(pv[:, 0], pv[:, 1])
+    coeffs[vertex_dof[interior]] = value(pv[:, 0], pv[:, 1])
 
     rule = edge_rule(13)
     a = mesh.vertices[mesh.edges[:, 0]]
@@ -478,12 +491,12 @@ def interpolate(dofmap, value, gradient):
     pts = a[:, None, :] + rule.points[None, :, None] * (b - a)[:, None, :]
     g = np.asarray(gradient(pts[..., 0], pts[..., 1]))
     gn = np.einsum("eqx,ex->eq", g, mesh.edge_normals)
-    coeffs[dofmap.edge_dof] = gn @ rule.weights
+    coeffs[edge_dof] = gn @ rule.weights
 
     tri = triangle_rule(10)
     X = mesh.physical_points(tri.points)
     vals = value(X[..., 0], X[..., 1])
-    coeffs[dofmap.bubble_dof] = vals @ tri.weights
+    coeffs[bubble_dof] = vals @ tri.weights
     return coeffs
 
 

@@ -105,6 +105,14 @@ def test_fit_slope_window_validation():
         fit_slope(recs * 3, 1)
 
 
+@pytest.mark.parametrize("subdivisions", [2.5, 0.5, 0, float("nan")])
+def test_adapt_config_rejects_non_integral_subdivisions(subdivisions):
+    # 2.5 used to pass the check and run on the 16 elements of 2
+    with pytest.raises(ValueError, match="initial_subdivisions"):
+        AdaptConfig(initial_subdivisions=subdivisions)
+    assert AdaptConfig(initial_subdivisions=2.0).initial_subdivisions == 2
+
+
 # -- adaptive loop -----------------------------------------------------------
 
 def test_single_iteration_run(monkeypatch):
@@ -365,15 +373,15 @@ def test_constant_data_closures_match_full_arrays(name, constants):
 
 
 @pytest.mark.parametrize("name, per_element", [
-    ("ex1", {"y_d": [16], "f": [16, 36], "f_laplacian": [16],
+    ("ex1", {"y_d": [16], "f": [16, 16], "f_laplacian": [16],
              "exact.value": [25], "exact.hessian": [25]}),
     ("ex4", {"y_d": [16], "u_a": [16], "u_b": [16]}),
 ])
 def test_solve_on_mesh_samples_each_data_closure_once(monkeypatch, name,
                                                       per_element):
     # one level reads y_d, f_laplacian and the box bounds once at the 16
-    # points per element of DofMap.points, f there and at the 36 points of
-    # int_Omega f, and the exact solution once at the 25 error points;
+    # points per element of DofMap.points, f there twice (the load and
+    # int_Omega f), and the exact solution once at the 25 error points;
     # assembly runs in several chunks and still shares the one sample
     import morley_ocp.assembly as assembly
 

@@ -3,12 +3,12 @@ import pytest
 
 from morley_ocp.assembly import (AssemblyError, assemble_constraints,
                                  element_laplacian_rows)
-from morley_ocp.element import DofMap
+from morley_ocp.element import DATA_RULE, DofMap, sample
 from morley_ocp.mesh import initial_mesh, uniform_refine
 from morley_ocp.problems import ProblemSpec, example
 
 from conftest import assemble, random_mesh
-from oracles import assemble_dense, interpolate, tri_quad
+from oracles import assemble_dense, dof_index, interpolate, tri_quad
 
 
 def poly_problem(beta=1.0, with_f=True):
@@ -117,9 +117,11 @@ def test_element_row_structure(split_square_mesh):
     # row entries are -sign * h_e on the element's edge DOFs
     m = split_square_mesh
     dm = DofMap(m)
+    assert dm.cell_dofs.dtype == np.int32
+    _, edge_dof, _ = dof_index(dm)
     rows = element_laplacian_rows(dm).tocoo()
     for t, d, v in zip(rows.row, rows.col, rows.data):
-        k = np.flatnonzero(dm.edge_dof[m.elem_edges[t]] == d)[0]
+        k = np.flatnonzero(edge_dof[m.elem_edges[t]] == d)[0]
         gid = m.elem_edges[t, k]
         sign = 1.0 if m.edge_elements[gid, 0] == t else -1.0
         assert v == pytest.approx(-sign * m.edge_lengths[gid], rel=1e-14)
@@ -128,15 +130,16 @@ def test_element_row_structure(split_square_mesh):
 def test_control_row_is_boundary_flux(unit_cross):
     # interior edge contributions cancel in the global control row
     dm = DofMap(unit_cross)
+    _, edge_dof, bubble_dof = dof_index(dm)
     cons = assemble_constraints(dm, poly_problem(with_f=False))
     row = cons.rows[1].toarray().ravel()
     for e in range(unit_cross.n_edges):
-        d = dm.edge_dof[e]
+        d = edge_dof[e]
         if not unit_cross.interior_edges[e]:
             assert row[d] != 0.0
         else:
             assert row[d] == pytest.approx(0.0, abs=1e-15)
-    assert np.all(row[dm.bubble_dof] == 0.0)
+    assert np.all(row[bubble_dof] == 0.0)
 
 
 def test_control_bound_includes_source_integral():
@@ -146,6 +149,25 @@ def test_control_bound_includes_source_integral():
     # delta1' = delta1 + int f with f = 1 + xy - y^2
     f_int = 1.0 + 0.25 - 1.0 / 3.0
     assert cons.lower[1] == pytest.approx(-10.0 + f_int, abs=1e-12)
+
+
+def test_source_integral_reads_f_at_the_data_points():
+    # ex2's bound delta1 + int f is sum_T |T| Q_T(f) at the DATA_RULE points
+    # DofMap.points; the degree-6 rule's error to the exact 16 pi^2 is
+    # 6.9e-8 relative on 2 subdivisions and 2.4e-10 on 4
+    problem = example(2)
+    exact = problem.delta1 + 16.0 * np.pi**2
+    errors = []
+    for n in (2, 4):
+        dm = DofMap(initial_mesh(0.0, 1.0, n))
+        bound = assemble_constraints(dm, problem).lower[1]
+        Q = [sample(problem.f, dm.points[t]) @ DATA_RULE.weights
+             for t in range(dm.mesh.n_elements)]
+        ref = problem.delta1 + sum(a * q for a, q in zip(dm.mesh.areas, Q))
+        assert bound == pytest.approx(ref, rel=1e-13)
+        errors.append(abs(bound - exact) / abs(exact))
+    assert errors[1] <= 1e-9
+    assert errors[0] >= 200.0 * errors[1]
 
 
 def test_box_constraints_and_validation():

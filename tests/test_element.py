@@ -3,12 +3,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from morley_ocp.element import (DofMap, ElementError, _edge_bary, edge_rule,
-                                integrate, triangle_rule, bary_monomial_integral)
+                                triangle_rule, bary_monomial_integral)
 from morley_ocp.mesh import Mesh, initial_mesh, uniform_refine
 
 from conftest import random_mesh
-from oracles import (barycentric, dof_matrices, eval_function_einsum,
-                     interpolate, tri_quad)
+from oracles import (barycentric, dof_index, dof_matrices,
+                     eval_function_einsum, interpolate, tri_quad)
 
 
 def evaluate(dm, u, element, bary):
@@ -237,7 +237,7 @@ def test_interpolation_conservation_identities(case):
     dm = DofMap(mesh)
     u = interpolate(dm, f, g)
     # interpolant integral is exactly |T| . Q_T
-    lhs = float(mesh.areas @ u[dm.bubble_dof])
+    lhs = float(mesh.areas @ u[dof_index(dm)[2]])
     rhs = sum(float(tri_quad(*mesh.vertices[mesh.elements[t]], 8)[1]
                     @ f(*tri_quad(*mesh.vertices[mesh.elements[t]], 8)[0].T))
               for t in range(mesh.n_elements))
@@ -289,9 +289,3 @@ def test_evaluate_zero_and_continuity(unit_cross):
         if t == 0:
             ref = v_t
         assert v_t == pytest.approx(ref, abs=1e-12)
-
-
-def test_integrate_matches_oracle():
-    mesh = initial_mesh(0.0, 1.0, 2)
-    val = integrate(mesh, lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y))
-    assert val == pytest.approx(4.0 / np.pi**2, rel=1e-10)

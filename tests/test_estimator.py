@@ -10,7 +10,7 @@ from morley_ocp.problems import ExactSolution, ProblemSpec, example, manufacture
 from morley_ocp.vi_solver import solve_vi
 
 from conftest import assemble, random_mesh
-from oracles import estimator_terms, interpolate
+from oracles import dof_index, estimator_terms, interpolate
 
 
 def poly_problem(beta=1.0):
@@ -100,7 +100,7 @@ def test_bubble_on_one_element_eta4(split_square_mesh):
     m = split_square_mesh
     dm = DofMap(m)
     u = np.zeros(dm.n_dofs)
-    u[dm.bubble_dof[0]] = 1.0
+    u[dof_index(dm)[2][0]] = 1.0
     beta = 2.0
     e2, e3, e4 = eta_edges(dm, u, beta)
     prob = poly_problem(beta=beta)
@@ -205,9 +205,11 @@ def test_relabeling_invariance():
     # map coefficients: vertices by id, edges by endpoint set (sign flips
     # with the stored normal), elements by order
     u2 = np.zeros(dm2.n_dofs)
+    vertex_dof, edge_dof, bubble_dof = dof_index(dm)
+    vertex_dof2, edge_dof2, bubble_dof2 = dof_index(dm2)
     for v in range(mesh.n_vertices):
-        d1 = dm.vertex_dof[v]
-        d2 = dm2.vertex_dof[vperm[v]]
+        d1 = vertex_dof[v]
+        d2 = vertex_dof2[vperm[v]]
         assert (d1 < 0) == (d2 < 0)
         if d1 >= 0:
             u2[d2] = u[d1]
@@ -218,11 +220,11 @@ def test_relabeling_invariance():
         n1 = mesh.edge_normals[e]
         n2 = mesh2.edge_normals[e2_]
         sign = 1.0 if n1 @ n2 > 0 else -1.0
-        u2[dm2.edge_dof[e2_]] = sign * u[dm.edge_dof[e]]
+        u2[edge_dof2[e2_]] = sign * u[edge_dof[e]]
     inv_eperm = np.argsort(eperm)
     lam2 = np.empty_like(lam)
     for t in range(mesh.n_elements):
-        u2[dm2.bubble_dof[np.flatnonzero(eperm == t)[0]]] = u[dm.bubble_dof[t]]
+        u2[bubble_dof2[np.flatnonzero(eperm == t)[0]]] = u[bubble_dof[t]]
     lam2 = lam[inv_eperm]
 
     f1, f5 = eta_interior(dm2, u2, 0.5, lam2, prob,

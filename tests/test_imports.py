@@ -1,10 +1,13 @@
-"""Every module-level import of the package is used by its module, and
-every private name the package defines is used somewhere in the package."""
+"""Every module-level import of the package is used by its module, every
+private name the package defines is used somewhere in the package, and
+every name the package exports resolves."""
 
 import ast
 import pathlib
 
 import pytest
+
+import morley_ocp
 
 PKG = pathlib.Path(__file__).resolve().parents[1] / "src" / "morley_ocp"
 
@@ -96,3 +99,8 @@ def test_unreferenced_private_name_is_found():
     }
     assert unreferenced_private_names(sources) == [
         ("a", 1, "_SPARE"), ("a", 4, "_orphan"), ("a", 11, "_stale")]
+
+
+def test_all_names_resolve():
+    # a removed import still listed in __all__ breaks `import *` only
+    assert [n for n in morley_ocp.__all__ if not hasattr(morley_ocp, n)] == []

@@ -33,6 +33,14 @@ def test_degenerate_domain_rejected():
         initial_mesh(0.0, 1.0, 0)
 
 
+@pytest.mark.parametrize("subdivisions", [2.5, 1.5, 0.5])
+def test_non_integral_subdivisions_rejected(subdivisions):
+    # int() would truncate 2.5 to the 16-element mesh of 2 subdivisions
+    with pytest.raises(MeshError, match="integer"):
+        initial_mesh(0.0, 1.0, subdivisions)
+    assert initial_mesh(0.0, 1.0, 2.0).n_elements == 16
+
+
 def test_vertex_id_out_of_range_rejected():
     # edges are keyed by lo * n_vertices + hi, which needs ids in range; a
     # negative id would otherwise index from the end of the vertex array
