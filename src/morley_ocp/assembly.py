@@ -147,7 +147,7 @@ def assemble_constraints(dofmap: DofMap, problem):
         lower = np.array([problem.delta2, problem.delta1 + f_int])
         upper = np.full(2, np.inf)
         sizes = np.full(2, omega)
-    elif problem.case == "box":
+    else:
         control = laplacians
         box_lo = mesh.areas * (sample(problem.u_a, dofmap.points)
                                @ DATA_RULE.weights)
@@ -160,9 +160,6 @@ def assemble_constraints(dofmap: DofMap, problem):
         lower = np.r_[problem.delta3, box_lo]
         upper = np.r_[np.inf, box_up]
         sizes = np.r_[omega, mesh.areas]
-    else:
-        raise AssemblyError(f"problem case must be 'integral' or 'box', got "
-                            f"{problem.case!r}")
     rows = sp.vstack([sp.csr_matrix(state_row), sp.csr_matrix(control)],
                      format="csr")
     return ConstraintSet(rows, lower, upper, sizes)

@@ -46,10 +46,6 @@ _PRIM_EXP = np.array([
 ], dtype=np.int64)
 
 
-class ElementError(Exception):
-    pass
-
-
 # ----------------------------------------------------------------------
 # quadrature
 # ----------------------------------------------------------------------
@@ -66,8 +62,6 @@ class QuadratureRule:
 def edge_rule(exact_degree):
     """Gauss-Legendre rule on [0, 1], exact for polynomials of the given
     degree."""
-    if exact_degree > 21:
-        raise ElementError(f"unsupported edge quadrature degree {exact_degree}")
     n = max(1, (exact_degree + 2) // 2)
     x, w = np.polynomial.legendre.leggauss(n)
     pts = 0.5 * (x + 1.0)
@@ -77,15 +71,13 @@ def edge_rule(exact_degree):
 
 @lru_cache(maxsize=None)
 def triangle_rule(exact_degree):
-    """Positive triangle rule, exact to ``exact_degree`` <= 10.
+    """Positive triangle rule, exact for polynomials of the given degree.
 
     The collapsed (Duffy) tensor Gauss rule with ``m = (degree + 3) // 2``
     points per direction: 16, 25 and 36 points for degrees 6, 8 and 10.
     It is not symmetric under vertex permutations; weights stay positive
     and sum to one.
     """
-    if exact_degree > 10:
-        raise ElementError(f"unsupported triangle quadrature degree {exact_degree}")
     m = max(1, (exact_degree + 3) // 2)
     x, w = np.polynomial.legendre.leggauss(m)
     u = 0.5 * (x + 1.0)

@@ -75,8 +75,9 @@ class Mesh:
             raise MeshError("vertices must be (nv, 2)")
         if not np.all(np.isfinite(self.vertices)):
             raise MeshError("non-finite vertex coordinates")
-        if self.elements.ndim != 2 or self.elements.shape[1] != 3:
-            raise MeshError("elements must be (nt, 3)")
+        if (self.elements.ndim != 2 or self.elements.shape[1] != 3
+                or len(self.elements) == 0):
+            raise MeshError("elements must be (nt, 3) with nt >= 1")
         if self.refinement_edge.shape != (len(self.elements),):
             raise MeshError(f"refinement edge array has shape "
                             f"{self.refinement_edge.shape} for "
@@ -97,7 +98,7 @@ class Mesh:
 
     def _build_topology(self):
         nt, nv = len(self.elements), len(self.vertices)
-        if nt and (self.elements.min() < 0 or self.elements.max() >= nv):
+        if self.elements.min() < 0 or self.elements.max() >= nv:
             raise MeshError("element vertex id out of range")
         p = self.vertices[self.elements]
         d1 = p[:, 1] - p[:, 0]
@@ -206,9 +207,9 @@ def initial_mesh(lower, upper, subdivisions):
     its center.  Every refinement edge is the cell side (the unique longest
     edge), which makes the assignment NVB-compatible.
     """
-    n = int(subdivisions)
-    if n != subdivisions or n < 1:
+    if not subdivisions >= 1 or subdivisions % 1:
         raise MeshError("subdivisions must be an integer >= 1")
+    n = int(subdivisions)
     x0, y0 = (float(lower), float(lower)) if np.isscalar(lower) else map(float, lower)
     x1, y1 = (float(upper), float(upper)) if np.isscalar(upper) else map(float, upper)
     if x1 <= x0 or y1 <= y0:

@@ -37,10 +37,11 @@ class ExactSolution:
 class ProblemSpec:
     """Data of one distributed control problem in reduced form.
 
-    ``case`` selects the constraint structure: "integral" couples the
-    scalar state bound ``delta2`` with the scalar control bound ``delta1``;
-    "box" couples the scalar state bound ``delta3`` with per-element
-    control boxes ``u_a <= -Delta y <= u_b``.
+    The bounds given select the constraint structure (``case``):
+    ``delta1`` and ``delta2`` are the "integral" case, a scalar state bound
+    ``delta2`` with a scalar control bound ``delta1``; ``delta3``, ``u_a``
+    and ``u_b`` are the "box" case, a scalar state bound ``delta3`` with
+    per-element control boxes ``u_a <= -Delta y <= u_b``.
     """
 
     domain: tuple                    # (x0, y0, x1, y1)
@@ -48,7 +49,6 @@ class ProblemSpec:
     y_d: Field2
     f: Optional[Field2]
     f_laplacian: Optional[Field2]
-    case: str
     delta1: Optional[float] = None
     delta2: Optional[float] = None
     delta3: Optional[float] = None
@@ -60,24 +60,22 @@ class ProblemSpec:
     def __post_init__(self):
         if not (np.isfinite(self.beta) and self.beta > 0):
             raise ProblemError("beta must be positive and finite")
-        if self.case == "integral":
-            if self.delta1 is None or self.delta2 is None:
-                raise ProblemError("integral case needs delta1 and delta2")
-            if self.delta3 is not None or self.u_a is not None or self.u_b is not None:
-                raise ProblemError("integral case must not carry box data")
-        elif self.case == "box":
-            if self.delta3 is None or self.u_a is None or self.u_b is None:
-                raise ProblemError("box case needs delta3, u_a, u_b")
-            if self.delta1 is not None or self.delta2 is not None:
-                raise ProblemError("box case must not carry integral bounds")
-        else:
-            raise ProblemError(f"unknown case {self.case!r}")
+        given = {name for name in ("delta1", "delta2", "delta3", "u_a", "u_b")
+                 if getattr(self, name) is not None}
+        if given not in ({"delta1", "delta2"}, {"delta3", "u_a", "u_b"}):
+            raise ProblemError(f"constraint data must be delta1, delta2 "
+                               f"(integral case) or delta3, u_a, u_b (box "
+                               f"case), got {sorted(given)}")
         if (self.f is None) != (self.f_laplacian is None):
             raise ProblemError("f and f_laplacian must be given together")
         for name in ("delta1", "delta2", "delta3"):
             value = getattr(self, name)
             if value is not None and not np.isfinite(value):
                 raise ProblemError(f"{name} must be finite, got {value!r}")
+
+    @property
+    def case(self):
+        return "integral" if self.delta1 is not None else "box"
 
     @property
     def square(self):
@@ -110,7 +108,6 @@ def _example1():
         y_d=lambda x, y: p(x, y) + lap_p(x, y) - 0.4,
         f=lambda x, y: p(x, y) - lap_p(x, y),
         f_laplacian=lambda x, y: lap_p(x, y) - bilap_p(x, y),
-        case="integral",
         delta1=0.0,
         delta2=-0.4,
         exact=ExactSolution(p, grad_p, hess_p),
@@ -130,7 +127,6 @@ def _example2():
         y_d=lambda x, y: np.zeros_like(np.asarray(x, dtype=float)),
         f=lambda x, y: bilap_s(x, y) + s(x, y) - 4 / PI**2,
         f_laplacian=lambda x, y: -2 * PI**2 * (bilap_s(x, y) + s(x, y)),
-        case="integral",
         delta1=0.0,
         delta2=-100.0,
         exact=ExactSolution(yv, grad_y, hess_y),
@@ -149,7 +145,6 @@ def _example3():
         y_d=lambda x, y: bilap_y(x, y) + yv(x, y) - 0.6,
         f=None,
         f_laplacian=None,
-        case="integral",
         delta1=0.0,
         delta2=0.0,
         exact=ExactSolution(yv, grad_y, hess_y),
@@ -165,7 +160,6 @@ def _example4():
         y_d=lambda x, y: 10.0 * (np.sin(PI * x) + np.sin(PI * y)),
         f=None,
         f_laplacian=None,
-        case="box",
         delta3=0.0,
         u_a=lambda x, y: np.zeros_like(np.asarray(x, dtype=float)),
         u_b=lambda x, y: np.full_like(np.asarray(x, dtype=float), 30.0),
@@ -245,7 +239,6 @@ def manufactured(seed, active_state=False):
         y_d=y_d,
         f=None,
         f_laplacian=None,
-        case="integral",
         delta1=float(mean_neg_lap) - 1.0e3,
         delta2=float(mean_y) if active_state else float(mean_y) - 10.0,
         exact=ExactSolution(value, gradient, hessian),

@@ -27,7 +27,6 @@ lower-active and nonpositive on upper-active rows.
 from __future__ import annotations
 
 import functools
-import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,8 +34,6 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .assembly import ConstraintSet
-
-logger = logging.getLogger("morley_ocp.vi_solver")
 
 # pinned-row count above which equality solves switch to the bordered
 # saddle factorization instead of the dense Schur complement
@@ -144,9 +141,6 @@ def _refine(matvec, solve, b):
     if not res <= RESIDUAL_LIMIT:
         raise SolverError(f"linear solve failed (relative residual "
                           f"{res:.2e})")
-    if res > 1e2 * LINEAR_TOLERANCE:
-        logger.debug("linear solve stalled at relative residual %.2e "
-                     "(conditioning floor)", res)
     return z
 
 
@@ -195,11 +189,6 @@ def solve_equality_qp(A, b, rows, targets, spd):
     return sol[:n], -sol[n:]
 
 
-def _load_scale(b):
-    """max(1, max|b|): the scale of stationarity."""
-    return max(1.0, float(np.max(np.abs(b))) if len(b) else 1.0)
-
-
 def solve_vi(A, b, constraints: ConstraintSet, guess=None):
     """Primal-dual active set iteration over every constraint row.
 
@@ -241,10 +230,6 @@ def solve_vi(A, b, constraints: ConstraintSet, guess=None):
         q = (rows @ x) / sizes
         new_lo = nu + PDAS_C * (q_lo - q) > tol
         new_up = nu + PDAS_C * (q_up - q) < -tol
-        if logger.isEnabledFor(logging.DEBUG):
-            logger.debug("pdas it=%d |A_a|=%d |A_b|=%d stat=%.3e", it,
-                         int(new_lo.sum()), int(new_up.sum()),
-                         np.linalg.norm(A @ x - b, np.inf))
         if np.array_equal(new_lo, act_lo) and np.array_equal(new_up, act_up):
             return ViSolution(
                 coefficients=x, mu=float(nu[0]), lam=nu[1:],
@@ -263,7 +248,7 @@ def kkt_residual(A, b, constraints, solution):
     """(stationarity, feasibility, complementarity), all normalized.
 
     Stationarity is the max-norm residual of the multiplier identity
-    divided by the max-norm of the load; feasibility and complementarity
+    divided by max(1, max-norm of the load); feasibility and complementarity
     are normalized per row by max(1, |lower|, |upper|), an infinite upper
     bound left out.
     """
@@ -279,5 +264,5 @@ def kkt_residual(A, b, constraints, solution):
     # is 0.0); a zero multiplier times a NaN bound stays NaN as well
     feas = np.max(np.maximum(lower - vals, vals - upper) / scale, initial=0.0)
     comp = np.abs(nu * (vals - np.where(nu < 0, upper, lower))) / scale
-    stationarity = float(np.max(np.abs(r))) / _load_scale(b)
-    return stationarity, float(feas), float(np.max(comp, initial=0.0))
+    stationarity = np.max(np.abs(r)) / max(1.0, np.max(np.abs(b)))
+    return float(stationarity), float(feas), float(np.max(comp, initial=0.0))

@@ -113,7 +113,7 @@ def _poly_problem(beta):
         y_d=lambda x, y: 1.0 + x**2 * y - 2 * x * y**2 + 0.5 * x,
         f=lambda x, y: x * y - 0.3,
         f_laplacian=lambda x, y: np.zeros_like(np.asarray(x, float)),
-        case="integral", delta1=-10.0, delta2=-10.0)
+        delta1=-10.0, delta2=-10.0)
 
 
 def test_criterion_4a_matrix_oracle():
@@ -182,7 +182,7 @@ def test_criterion_4d_case_ii_oracle():
             domain=(0.0, 0.0, 1.0, 1.0), beta=1.0,
             y_d=lambda x, y: (20.0 * np.sin(np.pi * x) * np.sin(np.pi * y)
                               + 400.0 * (x - 0.5)),
-            f=None, f_laplacian=None, case="box", delta3=d3,
+            f=None, f_laplacian=None, delta3=d3,
             u_a=lambda x, y, lo=lo: np.full_like(np.asarray(x, float), lo),
             u_b=lambda x, y, hi=hi: np.full_like(np.asarray(x, float), hi))
         dm = DofMap(mesh)

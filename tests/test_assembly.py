@@ -18,7 +18,7 @@ def poly_problem(beta=1.0, with_f=True):
     return ProblemSpec(
         domain=(0.0, 0.0, 1.0, 1.0), beta=beta,
         y_d=lambda x, y: x**2 * y - 3 * x + 1,
-        f=f, f_laplacian=flap, case="integral", delta1=-10.0, delta2=-10.0)
+        f=f, f_laplacian=flap, delta1=-10.0, delta2=-10.0)
 
 
 def test_system_is_spd():
@@ -71,8 +71,7 @@ def test_zero_data_gives_zero_load(unit_cross):
     dm = DofMap(unit_cross)
     prob = ProblemSpec(domain=(0, 0, 1, 1), beta=1.0,
                        y_d=lambda x, y: np.zeros_like(np.asarray(x, float)),
-                       f=None, f_laplacian=None, case="integral",
-                       delta1=-1.0, delta2=-1.0)
+                       f=None, f_laplacian=None, delta1=-1.0, delta2=-1.0)
     _, b = assemble(dm, prob)
     assert np.all(b == 0)
 

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from morley_ocp.element import (DofMap, ElementError, _edge_bary, edge_rule,
-                                triangle_rule, bary_monomial_integral)
+from morley_ocp.element import (DofMap, _edge_bary, edge_rule, triangle_rule,
+                                bary_monomial_integral)
 from morley_ocp.mesh import Mesh, initial_mesh, uniform_refine
 
 from conftest import random_mesh
@@ -46,11 +46,18 @@ def test_edge_rule_quintic():
     assert (r.points**5) @ r.weights == pytest.approx(1.0 / 6.0, rel=1e-13)
 
 
-def test_quadrature_factory_errors():
-    with pytest.raises(ElementError):
-        triangle_rule(11)
-    with pytest.raises(ElementError):
-        edge_rule(22)
+def test_rules_are_exact_beyond_the_degrees_in_use():
+    # no degree cap: the collapsed rule with (d + 3) // 2 points per
+    # direction and Gauss-Legendre with (d + 2) // 2 points are exact for
+    # every degree d
+    r = triangle_rule(12)
+    l1, l2 = r.points[:, 1], r.points[:, 2]
+    for a in range(13):
+        for b in range(13 - a):
+            assert (l1**a * l2**b) @ r.weights == pytest.approx(
+                bary_monomial_integral((0, a, b)), rel=1e-12)
+    r = edge_rule(30)
+    assert (r.points**30) @ r.weights == pytest.approx(1.0 / 31.0, rel=1e-12)
 
 
 @settings(max_examples=40, deadline=None)

@@ -19,7 +19,7 @@ def poly_problem(beta=1.0):
         y_d=lambda x, y: 1.0 + x**2 * y - 2 * x * y**2,
         f=lambda x, y: x * y,
         f_laplacian=lambda x, y: np.zeros_like(np.asarray(x, float)),
-        case="integral", delta1=-10.0, delta2=-10.0)
+        delta1=-10.0, delta2=-10.0)
 
 
 class FakeSolution:
@@ -33,8 +33,7 @@ def test_eta1_vanishes_when_data_matches(unit_cross):
     dm = DofMap(unit_cross)
     prob = ProblemSpec(domain=(0, 0, 1, 1), beta=1.0,
                        y_d=lambda x, y: np.zeros_like(np.asarray(x, float)),
-                       f=None, f_laplacian=None, case="integral",
-                       delta1=-1.0, delta2=-1.0)
+                       f=None, f_laplacian=None, delta1=-1.0, delta2=-1.0)
     e1, e5 = eta_interior(dm, np.zeros(dm.n_dofs), 0.0,
                           np.zeros(unit_cross.n_elements), prob,
                           sample(prob.y_d, dm.points))
@@ -47,8 +46,7 @@ def test_eta1_reference_triangle(reference_triangle_mesh):
     dm = DofMap(m)
     prob = ProblemSpec(domain=(0, 0, 1, 1), beta=1.0,
                        y_d=lambda x, y: np.ones_like(np.asarray(x, float)),
-                       f=None, f_laplacian=None, case="integral",
-                       delta1=-1.0, delta2=-1.0)
+                       f=None, f_laplacian=None, delta1=-1.0, delta2=-1.0)
     e1, _ = eta_interior(dm, np.zeros(dm.n_dofs), 0.0, np.zeros(1), prob,
                          sample(prob.y_d, dm.points))
     assert e1[0] == pytest.approx(2.0, rel=1e-13)
@@ -167,10 +165,10 @@ def test_beta_homogeneity(unit_cross):
 
     prob1 = ProblemSpec(domain=(0, 0, 1, 1), beta=1.0,
                         y_d=lambda x, y: x - y, f=None, f_laplacian=None,
-                        case="integral", delta1=-1.0, delta2=-1.0)
+                        delta1=-1.0, delta2=-1.0)
     prob2 = ProblemSpec(domain=(0, 0, 1, 1), beta=2.0,
                         y_d=lambda x, y: x - y, f=None, f_laplacian=None,
-                        case="integral", delta1=-1.0, delta2=-1.0)
+                        delta1=-1.0, delta2=-1.0)
     a1, a5 = eta_interior(dm, u, mu, lam, prob1,
                           sample(prob1.y_d, dm.points))
     b1, b5 = eta_interior(dm, u, mu, lam, prob2,
@@ -291,8 +289,7 @@ def test_oscillation_reported_not_added(unit_cross):
     # constant data oscillate nowhere
     const = ProblemSpec(domain=(0, 0, 1, 1), beta=1.0,
                         y_d=lambda x, y: np.full_like(np.asarray(x, float), 3.3),
-                        f=None, f_laplacian=None, case="integral",
-                        delta1=-1.0, delta2=-1.0)
+                        f=None, f_laplacian=None, delta1=-1.0, delta2=-1.0)
     assert np.allclose(data_oscillation(unit_cross,
                                         sample(const.y_d, dm.points)),
                        0.0, atol=1e-12)

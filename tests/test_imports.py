@@ -1,8 +1,10 @@
 """Every module-level import of the package is used by its module, every
-private name the package defines is used somewhere in the package, and
-every name the package exports resolves."""
+private name the package defines is used somewhere in the package, every
+exception class it defines is raised somewhere in the package, and every
+name the package exports resolves."""
 
 import ast
+import builtins
 import pathlib
 
 import pytest
@@ -99,6 +101,56 @@ def test_unreferenced_private_name_is_found():
     }
     assert unreferenced_private_names(sources) == [
         ("a", 1, "_SPARE"), ("a", 4, "_orphan"), ("a", 11, "_stale")]
+
+
+def unraised_exception_classes(sources):
+    """(module, line, name) of the module-level exception classes defined in
+    ``sources`` (module name -> source) that no ``raise`` statement of
+    ``sources`` names.  A class is an exception class when one of its bases
+    is a built-in exception or an exception class defined in ``sources``."""
+    classes, raised = {}, set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, ast.ClassDef):
+                bases = [getattr(b, "id", getattr(b, "attr", None))
+                         for b in node.bases]
+                classes[node.name] = (module, node.lineno, bases)
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Raise) and n.exc is not None:
+                exc = n.exc.func if isinstance(n.exc, ast.Call) else n.exc
+                raised.add(getattr(exc, "id", getattr(exc, "attr", None)))
+
+    def is_exception(name):
+        if name in classes:
+            return any(is_exception(base) for base in classes[name][2])
+        builtin = getattr(builtins, str(name), None)
+        return isinstance(builtin, type) and issubclass(builtin, BaseException)
+
+    return sorted((module, line, name)
+                  for name, (module, line, _) in classes.items()
+                  if is_exception(name) and name not in raised)
+
+
+def test_every_exception_class_is_raised():
+    sources = {p.stem: p.read_text(encoding="utf-8")
+               for p in sorted(PKG.glob("*.py"))}
+    assert unraised_exception_classes(sources) == []
+
+
+def test_unraised_exception_class_is_found():
+    sources = {
+        "a": ("class UsedError(Exception):\n    pass\n"
+              "class SpareError(ValueError):\n    pass\n"
+              "class Plain:\n    pass\n"
+              "def check():\n    raise UsedError('bad') from None\n"),
+        "b": ("from . import a\n"
+              "class ChildError(a.UsedError):\n    pass\n"
+              "class OrphanError(ChildError):\n    pass\n"
+              "def fail():\n    raise a.ChildError\n"),
+    }
+    assert unraised_exception_classes(sources) == [
+        ("a", 3, "SpareError"), ("b", 4, "OrphanError")]
 
 
 def test_all_names_resolve():

@@ -33,9 +33,11 @@ def test_degenerate_domain_rejected():
         initial_mesh(0.0, 1.0, 0)
 
 
-@pytest.mark.parametrize("subdivisions", [2.5, 1.5, 0.5])
+@pytest.mark.parametrize("subdivisions", [2.5, 1.5, 0.5, np.nan, np.inf,
+                                          -np.inf])
 def test_non_integral_subdivisions_rejected(subdivisions):
-    # int() would truncate 2.5 to the 16-element mesh of 2 subdivisions
+    # int() would truncate 2.5 to the 16-element mesh of 2 subdivisions, and
+    # raise ValueError on NaN and OverflowError on infinity
     with pytest.raises(MeshError, match="integer"):
         initial_mesh(0.0, 1.0, subdivisions)
     assert initial_mesh(0.0, 1.0, 2.0).n_elements == 16
@@ -47,6 +49,12 @@ def test_vertex_id_out_of_range_rejected():
     verts = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
     with pytest.raises(MeshError, match="out of range"):
         Mesh(verts, np.array([[0, 1, 2], [0, 2, -1]]), np.array([1, 2]))
+
+
+def test_mesh_without_elements_rejected():
+    # failed in the topology build on the maximum of an empty edge count
+    with pytest.raises(MeshError, match="nt >= 1"):
+        Mesh(np.zeros((3, 2)), np.zeros((0, 3), int), np.zeros(0, int))
 
 
 @pytest.mark.parametrize("verts", [

@@ -76,6 +76,7 @@ def test_example3_control_consistency():
     neg_lap = -(h[..., 0, 0] + h[..., 1, 1])
     u = -_s(1, 1, x, y)                         # u* = -s
     assert np.allclose(neg_lap, u, atol=1e-10)
+    assert p.case == "integral"
 
 
 def test_example1_pde_consistency():
@@ -98,6 +99,7 @@ def test_example2_pde_consistency_and_slack_state():
     # reference state has mean 8; the state bound stays slack
     assert p.delta2 < 8.0
     assert np.all(p.y_d(x, y) == 0.0)
+    assert p.case == "integral"
 
 
 def test_example4_has_no_exact_solution():
@@ -163,6 +165,7 @@ def test_manufactured_determinism():
     assert np.array_equal(p1.y_d(x, y), p2.y_d(x, y))
     assert p1.delta1 == p2.delta1 and p1.delta2 == p2.delta2
     assert p1.multipliers == p2.multipliers
+    assert p1.case == manufactured(42).case == "integral"
     p3 = manufactured(43, active_state=True)
     assert not np.allclose(p1.y_d(x, y), p3.y_d(x, y))
 
@@ -225,22 +228,23 @@ def test_slater_condition_examples():
 
 
 def test_problem_validation():
+    def zero(x, y):
+        return 0 * x
+
     with pytest.raises(ProblemError):
         ProblemSpec(domain=(0, 0, 1, 1), beta=-1.0,
                     y_d=lambda x, y: x, f=None, f_laplacian=None,
-                    case="integral", delta1=0.0, delta2=0.0)
-    with pytest.raises(ProblemError):
-        ProblemSpec(domain=(0, 0, 1, 1), beta=1.0,
-                    y_d=lambda x, y: x, f=None, f_laplacian=None,
-                    case="integral", delta1=0.0)   # missing delta2
-    with pytest.raises(ProblemError):
-        ProblemSpec(domain=(0, 0, 1, 1), beta=1.0,
-                    y_d=lambda x, y: x, f=None, f_laplacian=None,
-                    case="box", delta3=0.0)        # missing bounds
-    with pytest.raises(ProblemError):
-        ProblemSpec(domain=(0, 0, 1, 1), beta=1.0,
-                    y_d=lambda x, y: x, f=None, f_laplacian=None,
-                    case="weird", delta1=0.0, delta2=0.0)
+                    delta1=0.0, delta2=0.0)
+    # the bounds given must be exactly one of the two constraint sets
+    for bounds in ({"delta1": 0.0},                              # no delta2
+                   {"delta3": 0.0},                              # no box
+                   {"delta3": 0.0, "u_a": zero},                 # no u_b
+                   {"delta1": 0.0, "delta2": 0.0, "delta3": 0.0}):   # mixed
+        with pytest.raises(ProblemError,
+                           match=r"delta1, delta2 .* delta3, u_a, u_b"):
+            ProblemSpec(domain=(0, 0, 1, 1), beta=1.0,
+                        y_d=lambda x, y: x, f=None, f_laplacian=None,
+                        **bounds)
 
 
 @pytest.mark.parametrize("f, f_laplacian", [
@@ -253,7 +257,7 @@ def test_source_without_its_laplacian_rejected(f, f_laplacian):
     with pytest.raises(ProblemError, match="f_laplacian"):
         ProblemSpec(domain=(0, 0, 1, 1), beta=1.0,
                     y_d=lambda x, y: x, f=f, f_laplacian=f_laplacian,
-                    case="integral", delta1=0.0, delta2=0.0)
+                    delta1=0.0, delta2=0.0)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -264,10 +268,12 @@ def test_source_without_its_laplacian_rejected(f, f_laplacian):
              "u_b": lambda x, y: 1 + 0 * x}, "delta3"),
 ])
 def test_nonfinite_constraint_bound_rejected(case, bounds, name, bad):
+    spec = dict(domain=(0, 0, 1, 1), beta=1.0, y_d=lambda x, y: x, f=None,
+                f_laplacian=None)
+    # the bounds given decide the case
+    assert ProblemSpec(**spec, **bounds).case == case
     with pytest.raises(ProblemError, match=name):
-        ProblemSpec(domain=(0, 0, 1, 1), beta=1.0,
-                    y_d=lambda x, y: x, f=None, f_laplacian=None,
-                    case=case, **dict(bounds, **{name: bad}))
+        ProblemSpec(**spec, **dict(bounds, **{name: bad}))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0])

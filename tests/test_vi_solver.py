@@ -297,7 +297,7 @@ def box_problem(lo=-50.0, hi=50.0, delta3=-100.0, beta=1.0, tilt=0.0):
         domain=(0.0, 0.0, 1.0, 1.0), beta=beta,
         y_d=lambda x, y: (np.sin(np.pi * x) * np.sin(np.pi * y) * 20.0
                           + tilt * (x - 0.5)),
-        f=None, f_laplacian=None, case="box", delta3=delta3,
+        f=None, f_laplacian=None, delta3=delta3,
         u_a=lambda x, y: np.full_like(np.asarray(x, float), lo),
         u_b=lambda x, y: np.full_like(np.asarray(x, float), hi))
 
