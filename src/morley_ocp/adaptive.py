@@ -209,7 +209,11 @@ def adaptive_solve(problem, adapt=None):
             break
         else:
             marked = doerfler_mark(breakdown.element_indicators, adapt.theta)
-        mesh = bisect(mesh, marked)
+        try:
+            mesh = bisect(mesh, marked)
+        except MemoryError as exc:
+            raise AdaptiveError(f"out of memory on {mesh.n_elements} "
+                                "elements", it) from exc
         guess = solution.active
         if problem.case == "box":
             guess = guess[np.r_[0, 1 + mesh.parent]]

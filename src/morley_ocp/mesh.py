@@ -2,11 +2,11 @@
 
 A :class:`Mesh` is immutable once built: refinement returns a new mesh.
 Every element carries a refinement edge (the edge opposite its newest
-vertex); :func:`bisect` performs recursive compatible bisection so the
-result is always conforming.  It finds neighbors in a per-element table
-made from the input mesh's ``edge_elements`` and updated locally by each
-split, so a call costs one pass over the arrays plus work proportional to
-the number of splits.
+vertex); :func:`bisect` performs compatible bisection with a conformity
+closure, so the result is always conforming.  It finds neighbors in a flat
+per-element table made from the input mesh's ``edge_elements`` and
+updated locally by each split, so a call costs one pass over the arrays
+plus work proportional to the number of splits.
 
 Conventions
 -----------
@@ -241,16 +241,20 @@ def initial_mesh(lower, upper, subdivisions):
 
 
 def bisect(mesh, marked):
-    """Bisect all ``marked`` elements, closing recursively for conformity.
+    """Bisect all ``marked`` elements, closing for conformity.
 
     ``marked`` holds integer element ids; they are bisected in ascending
     order, each at least once, and a neighbor is bisected first whenever
-    its refinement edge differs from the shared edge.  Neighbors are
-    looked up in a table (``nbr[t][k]``: the element across local edge k
-    of t, -1 on the boundary) that each split updates locally.  Surviving
-    elements keep their order, children follow in creation order and
-    midpoints are appended as they are created.  Returns a new mesh whose
-    ``parent`` maps each element to the element of ``mesh`` it lies in.
+    its refinement edge differs from the shared edge.  The closure runs on
+    an explicit stack of pending elements, at most ``CLOSURE_DEPTH_CAP``
+    deep below the mark, over flat per-element tables: vertex j of element
+    t at ``3t + j``, the element across its local edge k at ``3t + k`` (-1
+    on the boundary), and per element its refinement edge, its ancestor in
+    ``mesh`` and whether it was split; each split updates them locally.
+    Surviving elements keep their order, children follow in creation order
+    and midpoints are appended as they are created.  Returns a new mesh
+    whose ``parent`` maps each element to the element of ``mesh`` it lies
+    in.
     """
     marked = np.asarray(marked)
     if marked.size == 0:
@@ -262,84 +266,83 @@ def bisect(mesh, marked):
         raise MeshError("marked ids out of range")
 
     nt, nv = mesh.n_elements, mesh.n_vertices
-    tris = mesh.elements.tolist()
+    tri = mesh.elements.ravel().tolist()
+    # the other element on each edge of t is plus + minus - t: on the
+    # boundary t is plus and minus is -1
+    nbr = (mesh.edge_elements[mesh.elem_edges].sum(axis=2)
+           - np.arange(nt)[:, None]).ravel().tolist()
     ref = mesh.refinement_edge.tolist()
-    pairs = mesh.edge_elements[mesh.elem_edges]              # (nt, 3, 2)
-    own = pairs[:, :, 0] == np.arange(nt)[:, None]
-    nbr = np.where(own, pairs[:, :, 1], pairs[:, :, 0]).tolist()
+    origin = list(range(nt))
     dead = bytearray(nt)
-    origin = []     # element of ``mesh`` that child nt + i lies in
-    ends = []       # endpoints of midpoint nv + i
+    ends = []       # endpoints of midpoint nv + i at 2i and 2i + 1
+    stack = []
 
-    def split(t, m):
-        # refinement edge (a, b), peak p; children keep CCW orientation and
-        # get the edges opposite the new vertex as refinement edges; the
-        # halves of (a, b), local edge 2 of each child, are linked by refine
-        k = ref[t]
-        tri, around = tris[t], nbr[t]
-        p, a, b = tri[k], tri[_NEXT[k]], tri[_PREV[k]]
-        across_pa, across_bp = around[_PREV[k]], around[_NEXT[k]]
-        c = len(tris)
-        tris.extend(([a, m, p], [m, b, p]))
-        ref.extend((1, 0))
-        nbr.extend(([c + 1, across_pa, -1], [across_bp, c, -1]))
-        o = t if t < nt else origin[t - nt]
-        origin.extend((o, o))
-        dead[t] = 1
-        dead.extend(b"\0\0")
-        # an outer neighbor runs the shared edge the other way, from a to p
-        # or from p to b, and its local edge j runs from local vertex _NEXT[j]
-        if across_pa >= 0:
-            nbr[across_pa][_PREV[tris[across_pa].index(a)]] = c
-        if across_bp >= 0:
-            nbr[across_bp][_PREV[tris[across_bp].index(p)]] = c + 1
-        return c
-
-    def refine(t, depth):
-        if depth > CLOSURE_DEPTH_CAP:
-            raise MeshError("closure recursion exceeded depth cap "
-                            f"{CLOSURE_DEPTH_CAP}; incompatible refinement edges")
-        if dead[t]:
-            return
-        while True:
+    for mark in marked.tolist():
+        stack.append(mark)
+        while stack:
+            t = stack[-1]
             if dead[t]:
-                return  # bisected as a side effect of the recursion
-            nb = nbr[t][ref[t]]
-            if nb < 0 or nbr[nb][ref[nb]] == t:
-                break
-            refine(nb, depth + 1)
-        k = ref[t]
-        m = nv + len(ends)
-        ends.append((tris[t][_NEXT[k]], tris[t][_PREV[k]]))
-        if nb < 0:
-            split(t, m)
-            return
-        # nb's children [b, m, p'] and [m, a, p'] meet t's [a, m, p] and
-        # [m, b, p] along the halves of the split edge
-        cn = split(nb, m)
-        ct = split(t, m)
-        nbr[ct][2], nbr[cn + 1][2] = cn + 1, ct
-        nbr[ct + 1][2], nbr[cn][2] = cn, ct + 1
-
-    for t in marked.tolist():
-        if not dead[t]:
-            refine(t, 0)
+                stack.pop()   # bisected as a side effect of the closure
+                continue
+            k = ref[t]
+            nb = nbr[3 * t + k]
+            if nb >= 0 and nbr[3 * nb + ref[nb]] != t:
+                if len(stack) > CLOSURE_DEPTH_CAP:
+                    raise MeshError("closure exceeded depth cap "
+                                    f"{CLOSURE_DEPTH_CAP}; incompatible "
+                                    "refinement edges")
+                stack.append(nb)
+                continue
+            stack.pop()
+            m = nv + len(ends) // 2
+            ends += (tri[3 * t + _NEXT[k]], tri[3 * t + _PREV[k]])
+            c0 = len(ref)
+            for s in ((t,) if nb < 0 else (nb, t)):
+                # refinement edge (a, b), peak p; children [a, m, p] and
+                # [m, b, p] keep CCW orientation and get the edges opposite
+                # the new vertex as refinement edges; the halves of (a, b)
+                # are their local edge 2
+                i, ks = 3 * s, ref[s]
+                p, a, b = tri[i + ks], tri[i + _NEXT[ks]], tri[i + _PREV[ks]]
+                pa, bp = nbr[i + _PREV[ks]], nbr[i + _NEXT[ks]]
+                c = len(ref)
+                tri += (a, m, p, m, b, p)
+                nbr += (c + 1, pa, -1, bp, c, -1)
+                ref += (1, 0)
+                origin += (origin[s],) * 2
+                dead[s] = 1
+                dead += b"\0\0"
+                # an outer neighbor runs the shared edge the other way, from
+                # a to p or from p to b, and its local edge j runs from its
+                # local vertex _NEXT[j]
+                if pa >= 0:
+                    j = 3 * pa
+                    nbr[j + (2 if tri[j] == a else 0 if tri[j + 1] == a
+                             else 1)] = c
+                if bp >= 0:
+                    j = 3 * bp
+                    nbr[j + (2 if tri[j] == p else 0 if tri[j + 1] == p
+                             else 1)] = c + 1
+            if nb >= 0:
+                # nb's children [b, m, p'] and [m, a, p'] (c0, c0 + 1) meet
+                # t's [a, m, p] and [m, b, p] (c0 + 2, c0 + 3) along the
+                # halves of the split edge
+                j = 3 * c0 + 2
+                nbr[j], nbr[j + 3], nbr[j + 6], nbr[j + 9] = (
+                    c0 + 3, c0 + 2, c0 + 1, c0)
 
     alive = np.frombuffer(dead, dtype=np.uint8) == 0
-    old, new = alive[:nt], alive[nt:]
-    # every edge bisected here is an edge of ``mesh``: the recursion only
+    # every edge bisected here is an edge of ``mesh``: the closure only
     # reaches elements of ``mesh`` and their children, whose refinement
     # edges are edges of ``mesh``
-    ends = np.array(ends, dtype=np.int64)
+    ends = np.array(ends, dtype=np.int64).reshape(-1, 2)
     vertices = np.concatenate([mesh.vertices,
                                0.5 * (mesh.vertices[ends[:, 0]]
                                       + mesh.vertices[ends[:, 1]])])
-    elements = np.concatenate([mesh.elements[old],
-                               np.array(tris[nt:], dtype=np.int64)[new]])
-    refinement = np.concatenate([mesh.refinement_edge[old],
-                                 np.array(ref[nt:], dtype=np.int64)[new]])
-    parent = np.concatenate([np.flatnonzero(old),
-                             np.array(origin, dtype=np.int64)[new]])
+    elements = np.array(tri, dtype=np.int64).reshape(-1, 3)[alive]
+    refinement = np.array(ref, dtype=np.int64)[alive]
+    parent = np.array(origin, dtype=np.int64)[alive]
+    del tri, nbr, ref, origin   # the tables die before the mesh is built
     return Mesh(vertices, elements, refinement, parent)
 
 

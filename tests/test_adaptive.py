@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 
 import numpy as np
 import pytest
@@ -211,15 +212,18 @@ def test_solver_failure_names_the_iteration(monkeypatch, capsys, tmp_path):
     assert "study failed: iteration 1" in capsys.readouterr().err
 
 
-def test_out_of_memory_is_a_solver_failure(monkeypatch, capsys, tmp_path):
-    # a MemoryError from the linear algebra must end as AdaptiveError, and
-    # `solve` as exit code 3, not as a traceback with exit code 1
+@pytest.mark.parametrize("name", ["solve_vi", "bisect"])
+def test_out_of_memory_is_a_solver_failure(monkeypatch, capsys, tmp_path,
+                                           name):
+    # a MemoryError from the linear algebra or from refining the level must
+    # end as AdaptiveError, and `solve` as exit code 3, not as a traceback
+    # with exit code 1
     import morley_ocp.adaptive as adaptive
 
-    def solve_vi(*args, **kwargs):
+    def out_of_memory(*args, **kwargs):
         raise MemoryError
 
-    monkeypatch.setattr(adaptive, "solve_vi", solve_vi)
+    monkeypatch.setattr(adaptive, name, out_of_memory)
     with pytest.raises(AdaptiveError, match="out of memory on 4 elements") \
             as info:
         adaptive_solve(manufactured(0), AdaptConfig(initial_subdivisions=1))
@@ -343,6 +347,20 @@ def test_each_level_frees_the_previous_mesh_and_dofmap(monkeypatch):
     assert [ref() for ref in refs[1::2]] == [None] * (len(alive) - 1) \
         + [run.mesh]
     assert all(ref() is None for ref in refs[::2])
+
+
+def test_study_leaves_no_cyclic_garbage():
+    # every object a level builds, its refinement included, is freed by
+    # reference counting alone, so no level's tables wait for the cyclic
+    # collector while the next level assembles and factors
+    gc.collect()
+    gc.disable()
+    try:
+        run = adaptive_solve(example(4), AdaptConfig(max_dofs=1500))
+        assert run.records[-1].dofs > 1500
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 # -- problem data ------------------------------------------------------------
