@@ -6,31 +6,16 @@ import os
 __version__ = "0.1.0"
 
 
-def thread_mode():
-    """Value of MORLEY_OCP_THREADS: 0 means strict single-threaded
-    deterministic mode (BLAS pinned to one thread, timing columns zeroed)."""
-    raw = os.environ.get("MORLEY_OCP_THREADS", "")
-    try:
-        return int(raw)
-    except ValueError:
-        return -1
-
-
 def deterministic_mode():
-    return thread_mode() == 0
+    """True when MORLEY_OCP_THREADS is 0: strict single-threaded
+    deterministic mode (BLAS pinned to one thread, timing columns zeroed)."""
+    return os.environ.get("MORLEY_OCP_THREADS", "").strip() == "0"
 
 
-def _pin_threads():
-    n = thread_mode()
-    if n < 0:
-        return
-    count = "1" if n == 0 else str(n)
+if deterministic_mode():  # before any numpy import below
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                 "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS"):
-        os.environ.setdefault(var, count)
-
-
-_pin_threads()  # before any numpy import below
+        os.environ.setdefault(var, "1")
 
 from .mesh import Mesh, MeshError, bisect, initial_mesh, uniform_refine  # noqa: E402
 from .element import DofMap  # noqa: E402

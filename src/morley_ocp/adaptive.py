@@ -127,8 +127,9 @@ def solve_on_mesh(problem, mesh, guess=None):
     is the starting active set, per constraint row."""
     dofmap = DofMap(mesh)
     yd = sample(problem.y_d, dofmap.points)
-    A, b = assemble_system(dofmap, problem, yd)
-    cons = assemble_constraints(dofmap, problem)
+    fv = None if problem.f is None else sample(problem.f, dofmap.points)
+    A, b = assemble_system(dofmap, problem, yd, fv)
+    cons = assemble_constraints(dofmap, problem, fv)
     solution = solve_vi(A, b, cons, guess)
     kkt = kkt_residual(A, b, cons, solution)
     breakdown = estimate(dofmap, solution, problem, yd)

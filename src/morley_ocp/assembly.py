@@ -9,8 +9,8 @@ The element matrices and the load are formed in the primitive basis of
 ``prim_stiffness`` gives the exact Hessian Gram (from a table of element
 averages of products of the primitive barycentric Hessians) plus the exact
 mass Gram, and ``prim_laplacian_moments`` gives the Laplacians of the
-primitives for the source term.  The load reads ``y_d`` (sampled once per
-level by the caller) and ``f`` at the ``DATA_RULE`` points ``DofMap.points``.
+primitives for the source term.  The load reads ``y_d`` and ``f`` at the
+``DATA_RULE`` points ``DofMap.points``, sampled once per level by the caller.
 The element matrices are formed in chunks and summed once as ``S' B S``:
 ``B`` is their block diagonal and ``S`` selects the global DOF of every
 element slot that has one, both CSR with int32 indices.  The product
@@ -19,7 +19,7 @@ stores no exact zeros.
 Constraint rows are exact as well: ``int_T w = |T| * Q_T(w)`` touches only
 the element-average DOF, and ``int_T Delta w = sum_e sign * h_e * (edge
 mean of dw/dn)`` by the divergence theorem touches only edge DOFs.  The
-bounds read ``f``, ``u_a`` and ``u_b`` at ``DofMap.points`` too.
+bounds read that sample of ``f``, and ``u_a`` and ``u_b`` at ``DofMap.points``.
 """
 
 from __future__ import annotations
@@ -59,15 +59,15 @@ class ConstraintSet:
     sizes: np.ndarray
 
 
-def assemble_system(dofmap: DofMap, problem, yd):
+def assemble_system(dofmap: DofMap, problem, yd, fv):
     """Assemble (csr system matrix, load vector) for a ProblemSpec; ``yd``
-    is ``y_d`` sampled at ``dofmap.points``."""
+    and ``fv`` are ``y_d`` and ``f`` sampled at ``dofmap.points`` (``fv``
+    None without a source)."""
     mesh = dofmap.mesh
     n = dofmap.n_dofs
     beta = problem.beta
     w = DATA_RULE.weights
     P = prim_values(DATA_RULE.points)         # (q, 7)
-    fv = None if problem.f is None else sample(problem.f, dofmap.points)
 
     nt = mesh.n_elements
     blocks = np.empty((nt, N_LOCAL, N_LOCAL))
@@ -128,8 +128,9 @@ def element_laplacian_rows(dofmap: DofMap):
     return sp.csr_matrix((data, (rows, cols)), shape=(nt, dofmap.n_dofs))
 
 
-def assemble_constraints(dofmap: DofMap, problem):
-    """Assemble the ConstraintSet for a ProblemSpec."""
+def assemble_constraints(dofmap: DofMap, problem, fv):
+    """Assemble the ConstraintSet for a ProblemSpec; ``fv`` is ``f`` sampled
+    at ``dofmap.points`` (None without a source)."""
     mesh = dofmap.mesh
     state_row = np.zeros(dofmap.n_dofs)
     state_row[dofmap.cell_dofs[:, 6]] = mesh.areas
@@ -138,9 +139,8 @@ def assemble_constraints(dofmap: DofMap, problem):
 
     if problem.case == "integral":
         f_int = 0.0
-        if problem.f is not None:
-            f_int = float(mesh.areas @ (sample(problem.f, dofmap.points)
-                                        @ DATA_RULE.weights))
+        if fv is not None:
+            f_int = float(mesh.areas @ (fv @ DATA_RULE.weights))
             if not np.isfinite(f_int):
                 raise AssemblyError(f"source integral is not finite: {f_int}")
         control = laplacians.sum(axis=0)

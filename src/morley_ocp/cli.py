@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -31,8 +32,6 @@ _PALETTE = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e",
 def _cell(v):
     if v is None:
         return ""
-    if isinstance(v, bool):
-        return str(int(v))
     if isinstance(v, float):          # includes numpy float64
         return repr(float(v))
     return str(v)
@@ -57,15 +56,14 @@ def _write_csv(path, rows, columns):
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _decades(lo, hi):
-    import math
-    return range(math.floor(math.log10(lo)), math.ceil(math.log10(hi)) + 1)
+def _decade_ticks(lo, hi):
+    """(value, label) of every power of ten in [lo, hi]."""
+    ds = range(math.floor(math.log10(lo)), math.ceil(math.log10(hi)) + 1)
+    return [(10.0 ** d, f"1e{d}") for d in ds if lo <= 10.0 ** d <= hi]
 
 
 def _svg_plot(path, series, xlabel, ylabel, logy=True, guide_slope=None):
     """Minimal log-log (or log-linear) polyline plot, no dependencies."""
-    import math
-
     W, H, L, R, T, B = 720, 540, 80, 30, 30, 60
     xs_all = [x for _, xs, _ in series for x in xs]
     ys_all = [y for _, _, ys in series for y in ys if (y > 0 or not logy)]
@@ -96,31 +94,20 @@ def _svg_plot(path, series, xlabel, ylabel, logy=True, guide_slope=None):
            f"<rect width='{W}' height='{H}' fill='white'/>",
            f"<rect x='{L}' y='{T}' width='{W-L-R}' height='{H-T-B}' "
            f"fill='none' stroke='#444'/>"]
-    for d in _decades(x0, x1):
-        x = 10.0 ** d
-        if x0 <= x <= x1:
-            px = fx(x)
-            out.append(f"<line x1='{px:.2f}' y1='{T}' x2='{px:.2f}' "
-                       f"y2='{H-B}' stroke='#ddd'/>")
-            out.append(f"<text x='{px:.2f}' y='{H-B+18}' font-size='12' "
-                       f"text-anchor='middle'>1e{d}</text>")
-    if logy:
-        for d in _decades(y0, y1):
-            y = 10.0 ** d
-            if y0 <= y <= y1:
-                py = fy(y)
-                out.append(f"<line x1='{L}' y1='{py:.2f}' x2='{W-R}' "
-                           f"y2='{py:.2f}' stroke='#ddd'/>")
-                out.append(f"<text x='{L-8}' y='{py+4:.2f}' font-size='12' "
-                           f"text-anchor='end'>1e{d}</text>")
-    else:
-        for k in range(6):
-            y = y0 + (y1 - y0) * k / 5
-            py = fy(y)
-            out.append(f"<line x1='{L}' y1='{py:.2f}' x2='{W-R}' "
-                       f"y2='{py:.2f}' stroke='#ddd'/>")
-            out.append(f"<text x='{L-8}' y='{py+4:.2f}' font-size='12' "
-                       f"text-anchor='end'>{y:.3g}</text>")
+    yticks = _decade_ticks(y0, y1) if logy else [
+        (y, f"{y:.3g}") for y in (y0 + (y1 - y0) * k / 5 for k in range(6))]
+    for x, label in _decade_ticks(x0, x1):
+        px = fx(x)
+        out.append(f"<line x1='{px:.2f}' y1='{T}' x2='{px:.2f}' "
+                   f"y2='{H-B}' stroke='#ddd'/>")
+        out.append(f"<text x='{px:.2f}' y='{H-B+18}' font-size='12' "
+                   f"text-anchor='middle'>{label}</text>")
+    for y, label in yticks:
+        py = fy(y)
+        out.append(f"<line x1='{L}' y1='{py:.2f}' x2='{W-R}' "
+                   f"y2='{py:.2f}' stroke='#ddd'/>")
+        out.append(f"<text x='{L-8}' y='{py+4:.2f}' font-size='12' "
+                   f"text-anchor='end'>{label}</text>")
     for i, (label, xs, ys) in enumerate(series):
         pts = " ".join(f"{fx(x):.2f},{fy(y):.2f}"
                        for x, y in zip(xs, ys) if (y > 0 or not logy))
@@ -240,11 +227,16 @@ def run_solve(args):
 
 
 def _is_record(r):
-    """A run.json record holding the numbers ``report`` reads."""
-    return isinstance(r, dict) and all(
-        isinstance(r.get(k), (int, float)) for k in ("iteration", "dofs", "eta_h")
-    ) and all(isinstance(r.get(k), (int, float, type(None)))
-              for k in ("energy_error", "eff_index"))
+    """A run.json record holding the numbers ``report`` reads; ``iteration``
+    and ``dofs`` are integers (not bools), ``dofs`` at least 1."""
+    if not isinstance(r, dict):
+        return False
+    it, dofs = r.get("iteration"), r.get("dofs")
+    return (all(isinstance(v, int) and not isinstance(v, bool)
+                for v in (it, dofs)) and dofs >= 1
+            and isinstance(r.get("eta_h"), (int, float))
+            and all(isinstance(r.get(k), (int, float, type(None)))
+                    for k in ("energy_error", "eff_index")))
 
 
 def run_report(args):

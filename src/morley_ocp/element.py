@@ -29,7 +29,6 @@ All evaluation routines are vectorized over elements.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from math import factorial
 
 import numpy as np
@@ -58,7 +57,6 @@ class QuadratureRule:
     weights: np.ndarray      # (n,), sum 1
 
 
-@lru_cache(maxsize=None)
 def edge_rule(exact_degree):
     """Gauss-Legendre rule on [0, 1], exact for polynomials of the given
     degree."""
@@ -69,7 +67,6 @@ def edge_rule(exact_degree):
     return QuadratureRule(pts, wts)
 
 
-@lru_cache(maxsize=None)
 def triangle_rule(exact_degree):
     """Positive triangle rule, exact for polynomials of the given degree.
 

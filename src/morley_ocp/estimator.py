@@ -25,8 +25,8 @@ import numpy as np
 from .element import (DATA_RULE, DofMap, _edge_bary, edge_rule, prim_values,
                       sample, triangle_rule)
 
-EDGE_RULE_DEGREE = 5          # Gauss-3: exact for every jump integrand
-ERROR_RULE_DEGREE = 8
+EDGE_RULE = edge_rule(5)      # Gauss-3: exact for every jump integrand
+ERROR_RULE = triangle_rule(8)
 
 
 @dataclass
@@ -67,25 +67,21 @@ def eta_interior(dofmap: DofMap, y, mu, lam_elem, problem, yd):
 
 
 def eta_edges(dofmap: DofMap, y, beta):
-    """Interior-edge jump terms eta2 (dw/dn), eta3 (d2w/dn2), eta4
-    (d(Delta w)/dn); boundary edges contribute nothing."""
+    """(3, n_edges) interior-edge jump terms, rows eta2 (dw/dn), eta3
+    (d2w/dn2) and eta4 (d(Delta w)/dn); boundary edges contribute nothing."""
     mesh = dofmap.mesh
-    ne = mesh.n_edges
-    eta2 = np.zeros(ne)
-    eta3 = np.zeros(ne)
-    eta4 = np.zeros(ne)
+    eta = np.zeros((3, mesh.n_edges))
     ids = np.flatnonzero(mesh.interior_edges)
 
     # y_h on the Gauss points of every element's three local edges
-    rule = edge_rule(EDGE_RULE_DEGREE)
-    nq = len(rule.points)
-    bary = np.concatenate([_edge_bary(k, rule.points) for k in range(3)])
+    nq = len(EDGE_RULE.points)
+    bary = np.concatenate([_edge_bary(k, EDGE_RULE.points) for k in range(3)])
     _, grad, hess = dofmap.eval_function(y, bary)
     grad = grad.reshape(mesh.n_elements, 3, nq, 2)
     hess = hess.reshape(mesh.n_elements, 3, nq, 2, 2)
     # Delta y_h is affine per element: the symmetric rule's edge mean is its
     # value at edge midpoint k, and grad f = -2 sum_k f(m_k) grad(lam_k)
-    lap_mid = np.einsum("tkqxx,q->tk", hess, rule.weights)
+    lap_mid = np.einsum("tkqxx,q->tk", hess, EDGE_RULE.weights)
     grad_lap = -2.0 * np.einsum("tk,tkx->tx", lap_mid, mesh.grad_lambda)
 
     def trace(side, q):
@@ -106,12 +102,12 @@ def eta_edges(dofmap: DofMap, y, beta):
     # ||jump||^2_{L2(e)} = h_e * sum(w * jump^2); the h_e weights of the
     # three terms are h_e^{-1}, h_e and h_e^3
     jn = np.einsum("eqx,ex->eq", grad_p - grad_m, n)
-    eta2[ids] = beta * ((jn**2) @ rule.weights)
+    eta[0, ids] = beta * ((jn**2) @ EDGE_RULE.weights)
     jnn = np.einsum("ex,eqxy,ey->eq", n, hess_p - hess_m, n)
-    eta3[ids] = beta * h**2 * ((jnn**2) @ rule.weights)
+    eta[1, ids] = beta * h**2 * ((jnn**2) @ EDGE_RULE.weights)
     jlap = np.einsum("ex,ex->e", gl_p - gl_m, n)
-    eta4[ids] = beta * h**4 * jlap**2
-    return eta2, eta3, eta4
+    eta[2, ids] = beta * h**4 * jlap**2
+    return eta
 
 
 def data_oscillation(mesh, yd):
@@ -135,7 +131,7 @@ def estimate(dofmap: DofMap, solution, problem, yd):
                                         solution.mu, lam_elem, problem, yd)
     # eta_edges is zero on boundary edges, so each element takes half of
     # every one of its edges
-    edges = np.stack(eta_edges(dofmap, solution.coefficients, problem.beta))
+    edges = eta_edges(dofmap, solution.coefficients, problem.beta)
     eta_sq[1:4] = 0.5 * edges[:, mesh.elem_edges].sum(axis=2)
     return EstimatorBreakdown(eta_sq, eta_sq.sum(axis=0),
                               data_oscillation(mesh, yd))
@@ -145,13 +141,12 @@ def true_error(dofmap: DofMap, y, exact, beta):
     """ErrorReport in the discrete norm: the L2 and broken-H2 seminorm of
     (exact - y) by degree-8 quadrature."""
     mesh = dofmap.mesh
-    rule = triangle_rule(ERROR_RULE_DEGREE)
-    X = mesh.physical_points(rule.points)
-    val, _, hess = dofmap.eval_function(y, rule.points)
+    X = mesh.physical_points(ERROR_RULE.points)
+    val, _, hess = dofmap.eval_function(y, ERROR_RULE.points)
     dv = exact.value(X[..., 0], X[..., 1]) - val
     dh = exact.hessian(X[..., 0], X[..., 1]) - hess
-    l2 = float(np.sqrt(mesh.areas @ ((dv**2) @ rule.weights)))
+    l2 = float(np.sqrt(mesh.areas @ ((dv**2) @ ERROR_RULE.weights)))
     h2 = float(np.sqrt(mesh.areas @ (np.einsum("tqxy,tqxy->tq", dh, dh)
-                                     @ rule.weights)))
+                                     @ ERROR_RULE.weights)))
     energy = float(np.sqrt(beta * h2**2 + l2**2))
     return ErrorReport(energy, l2, h2)

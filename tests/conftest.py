@@ -3,7 +3,7 @@ import os
 import numpy as np
 import pytest
 
-from morley_ocp.assembly import assemble_system
+from morley_ocp.assembly import assemble_constraints, assemble_system
 from morley_ocp.element import sample
 from morley_ocp.mesh import Mesh, bisect, initial_mesh
 
@@ -29,10 +29,22 @@ def pytest_terminal_summary(terminalreporter):
             terminalreporter.write_line(line)
 
 
+def source(dm, problem):
+    """``f`` sampled at ``dm.points``, or None without a source."""
+    return None if problem.f is None else sample(problem.f, dm.points)
+
+
 def assemble(dm, problem):
-    """``assemble_system`` with ``y_d`` sampled at ``dm.points``, as
+    """``assemble_system`` with ``y_d`` and ``f`` sampled at ``dm.points``,
+    as ``solve_on_mesh`` calls it."""
+    return assemble_system(dm, problem, sample(problem.y_d, dm.points),
+                           source(dm, problem))
+
+
+def constraints(dm, problem):
+    """``assemble_constraints`` with ``f`` sampled at ``dm.points``, as
     ``solve_on_mesh`` calls it."""
-    return assemble_system(dm, problem, sample(problem.y_d, dm.points))
+    return assemble_constraints(dm, problem, source(dm, problem))
 
 
 def random_mesh(seed, max_elements=16, domain=(0.0, 1.0)):

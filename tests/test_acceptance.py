@@ -23,14 +23,14 @@ import numpy as np
 import pytest
 
 from morley_ocp.adaptive import AdaptConfig, adaptive_solve
-from morley_ocp.assembly import assemble_constraints
 from morley_ocp.element import DofMap, sample
 from morley_ocp.estimator import eta_edges, eta_interior
 from morley_ocp.mesh import bisect, initial_mesh
 from morley_ocp.problems import ProblemSpec, example, manufactured
 from morley_ocp.vi_solver import solve_vi
 
-from conftest import assemble, child_env, fit_slope, random_mesh
+from conftest import (assemble, child_env, constraints, fit_slope,
+                      random_mesh)
 from oracles import (assemble_dense, assert_conforming, dof_index,
                      estimator_terms, exhaustive_box_solve, interpolate,
                      min_angle, projected_gradient)
@@ -159,7 +159,7 @@ def test_criterion_4c_case_i_oracles():
         prob = manufactured(seed, active_state=bool(seed % 2))
         dm = DofMap(mesh)
         A, b = assemble(dm, prob)
-        cons = assemble_constraints(dm, prob)
+        cons = constraints(dm, prob)
         sol = solve_vi(A, b, cons)
         x_pg = projected_gradient(A.toarray(), b, list(cons.rows.toarray()),
                                   list(cons.lower))
@@ -187,7 +187,7 @@ def test_criterion_4d_case_ii_oracle():
             u_b=lambda x, y, hi=hi: np.full_like(np.asarray(x, float), hi))
         dm = DofMap(mesh)
         A, b = assemble(dm, prob)
-        cons = assemble_constraints(dm, prob)
+        cons = constraints(dm, prob)
         sol = solve_vi(A, b, cons)
         assert (sol.active[0] == -1) == (d3 > 0)
         assert list(sol.active[1:]) == [0, 1, 0, -1]
@@ -278,7 +278,7 @@ def test_criterion_6_interpolation_identities():
     # members of the continuous constraint set interpolate into the
     # discrete one (state and control rows at their exact values)
     prob = example(1)
-    cons = assemble_constraints(dm, prob)
+    cons = constraints(dm, prob)
     feasible = [
         SMOOTH[0], SMOOTH[2], SMOOTH[3], SMOOTH[4],
         ("boundary-case", SMOOTH[1][1], SMOOTH[1][2], SMOOTH[1][3]),

@@ -391,16 +391,18 @@ def test_constant_data_closures_match_full_arrays(name, constants):
 
 
 @pytest.mark.parametrize("name, per_element", [
-    ("ex1", {"y_d": [16], "f": [16, 16], "f_laplacian": [16],
+    ("ex1", {"y_d": [16], "f": [16], "f_laplacian": [16],
              "exact.value": [25], "exact.hessian": [25]}),
     ("ex4", {"y_d": [16], "u_a": [16], "u_b": [16]}),
+    ("ex2", {"y_d": [16], "f": [16], "f_laplacian": [16],
+             "exact.value": [25], "exact.hessian": [25]}),
 ])
 def test_solve_on_mesh_samples_each_data_closure_once(monkeypatch, name,
                                                       per_element):
-    # one level reads y_d, f_laplacian and the box bounds once at the 16
-    # points per element of DofMap.points, f there twice (the load and
-    # int_Omega f), and the exact solution once at the 25 error points;
-    # assembly runs in several chunks and still shares the one sample
+    # one level reads y_d, f, f_laplacian and the box bounds once at the 16
+    # points per element of DofMap.points (the load and int_Omega f share
+    # the one sample of f), and the exact solution once at the 25 error
+    # points; assembly runs in several chunks and still shares the samples
     import morley_ocp.assembly as assembly
 
     monkeypatch.setattr(assembly, "_CHUNK", 6)

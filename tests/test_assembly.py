@@ -1,13 +1,12 @@
 import numpy as np
 import pytest
 
-from morley_ocp.assembly import (AssemblyError, assemble_constraints,
-                                 element_laplacian_rows)
+from morley_ocp.assembly import AssemblyError, element_laplacian_rows
 from morley_ocp.element import DATA_RULE, DofMap, sample
 from morley_ocp.mesh import initial_mesh, uniform_refine
 from morley_ocp.problems import ProblemSpec, example
 
-from conftest import assemble, random_mesh
+from conftest import assemble, constraints, random_mesh
 from oracles import assemble_dense, dof_index, interpolate, tri_quad
 
 
@@ -79,7 +78,7 @@ def test_zero_data_gives_zero_load(unit_cross):
 def test_state_row_equals_interpolant_integral():
     mesh = uniform_refine(initial_mesh(0.0, 1.0, 2), 1)
     dm = DofMap(mesh)
-    cons = assemble_constraints(dm, poly_problem())
+    cons = constraints(dm, poly_problem())
 
     def f(x, y):
         return np.sin(np.pi * x) * np.sin(np.pi * y)
@@ -130,7 +129,7 @@ def test_control_row_is_boundary_flux(unit_cross):
     # interior edge contributions cancel in the global control row
     dm = DofMap(unit_cross)
     _, edge_dof, bubble_dof = dof_index(dm)
-    cons = assemble_constraints(dm, poly_problem(with_f=False))
+    cons = constraints(dm, poly_problem(with_f=False))
     row = cons.rows[1].toarray().ravel()
     for e in range(unit_cross.n_edges):
         d = edge_dof[e]
@@ -144,7 +143,7 @@ def test_control_row_is_boundary_flux(unit_cross):
 def test_control_bound_includes_source_integral():
     mesh = initial_mesh(0.0, 1.0, 2)
     dm = DofMap(mesh)
-    cons = assemble_constraints(dm, poly_problem(with_f=True))
+    cons = constraints(dm, poly_problem(with_f=True))
     # delta1' = delta1 + int f with f = 1 + xy - y^2
     f_int = 1.0 + 0.25 - 1.0 / 3.0
     assert cons.lower[1] == pytest.approx(-10.0 + f_int, abs=1e-12)
@@ -159,7 +158,7 @@ def test_source_integral_reads_f_at_the_data_points():
     errors = []
     for n in (2, 4):
         dm = DofMap(initial_mesh(0.0, 1.0, n))
-        bound = assemble_constraints(dm, problem).lower[1]
+        bound = constraints(dm, problem).lower[1]
         Q = [sample(problem.f, dm.points[t]) @ DATA_RULE.weights
              for t in range(dm.mesh.n_elements)]
         ref = problem.delta1 + sum(a * q for a, q in zip(dm.mesh.areas, Q))
@@ -173,7 +172,7 @@ def test_box_constraints_and_validation():
     mesh = initial_mesh(0.0, 1.0, 1)
     dm = DofMap(mesh)
     problem = example(4)
-    cons = assemble_constraints(dm, problem)
+    cons = constraints(dm, problem)
     assert problem.case == "box" and cons.rows.shape[0] == 1 + mesh.n_elements
     assert np.allclose(cons.lower[1:], 0.0)
     assert np.allclose(cons.upper[1:], 30.0 * mesh.areas)
@@ -184,7 +183,7 @@ def test_box_constraints_and_validation():
     bad = example(4)
     bad.u_a, bad.u_b = bad.u_b, bad.u_a
     with pytest.raises(AssemblyError):
-        assemble_constraints(dm, bad)
+        constraints(dm, bad)
 
 
 def test_nonfinite_constraint_data_rejected():
@@ -196,11 +195,11 @@ def test_nonfinite_constraint_data_rejected():
         bad = example(4)
         setattr(bad, field, fn)
         with pytest.raises(AssemblyError, match="non-finite"):
-            assemble_constraints(dm, bad)
+            constraints(dm, bad)
     bad = poly_problem()
     bad.f = nan_right
     with pytest.raises(AssemblyError, match="source integral"):
-        assemble_constraints(dm, bad)
+        constraints(dm, bad)
 
 
 def test_qh_commutation_on_interpolants():
@@ -208,7 +207,7 @@ def test_qh_commutation_on_interpolants():
     # element in test_element; here through the ConstraintSet aggregate)
     mesh = uniform_refine(initial_mesh(0.0, 1.0, 2), 1)
     dm = DofMap(mesh)
-    cons = assemble_constraints(dm, poly_problem(with_f=False))
+    cons = constraints(dm, poly_problem(with_f=False))
 
     def f(x, y):
         return x * (1 - x) * y * (1 - y)

@@ -1,4 +1,5 @@
 import json
+import re
 import subprocess
 import sys
 
@@ -170,6 +171,36 @@ def test_report_schema_mismatch_exits_2(tmp_path):
         res = run_cli(["report", str(bad)])
         assert res.returncode == 2
         assert f"schema mismatch in {bad}" in res.stderr
+
+
+@pytest.mark.parametrize("field, value", [("dofs", 0), ("dofs", True),
+                                          ("iteration", True)])
+def test_report_rejects_a_record_without_a_dof_count(field, value, tmp_path):
+    # a zero DoF count has no place on the log axis; a bool is no count
+    bad = tmp_path / "zero.json"
+    record = dict({"dofs": 10, "eta_h": 1.0, "iteration": 0}, **{field: value})
+    bad.write_text(json.dumps({"config": {}, "records": [record]}))
+    out = tmp_path / "rep"
+    res = run_cli(["report", str(bad), "--out", str(out)])
+    assert res.returncode == 2
+    assert f"schema mismatch in {bad}" in res.stderr
+    assert not (out / "comparison.csv").exists()
+
+
+def test_plot_ticks(ex1_run):
+    _, rows = read_csv(ex1_run / "convergence.csv")
+    dofs = [int(r["dofs"]) for r in rows]
+    svg = (ex1_run / "convergence.svg").read_text(encoding="utf-8")
+    decades = [d for d in range(8) if min(dofs) <= 10**d <= max(dofs)]
+    assert decades
+    assert re.findall(r"text-anchor='middle'>1e(-?\d+)<", svg) == [
+        str(d) for d in decades]
+    # the efficiency index is drawn on a linear axis: six evenly spaced ticks
+    eff = [float(r["eff_index"]) for r in rows]
+    lo, hi = min(eff), max(eff)
+    svg = (ex1_run / "efficiency.svg").read_text(encoding="utf-8")
+    assert re.findall(r"text-anchor='end'>([^<]*)<", svg) == [
+        f"{lo + (hi - lo) * k / 5:.3g}" for k in range(6)]
 
 
 def test_bad_flags_exit_2():

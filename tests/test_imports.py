@@ -1,15 +1,21 @@
 """Every module-level import of the package is used by its module, every
 private name the package defines is used somewhere in the package, every
-exception class it defines is raised somewhere in the package, and every
-name the package exports resolves."""
+exception class it defines is raised somewhere in the package, every
+name the package exports resolves, and importing it with
+MORLEY_OCP_THREADS=0 pins the BLAS threads."""
 
 import ast
 import builtins
+import json
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
 import morley_ocp
+
+from conftest import child_env
 
 PKG = pathlib.Path(__file__).resolve().parents[1] / "src" / "morley_ocp"
 
@@ -156,3 +162,45 @@ def test_unraised_exception_class_is_found():
 def test_all_names_resolve():
     # a removed import still listed in __all__ breaks `import *` only
     assert [n for n in morley_ocp.__all__ if not hasattr(morley_ocp, n)] == []
+
+
+BLAS_THREADS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+                "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")
+
+
+def imported_under(**env):
+    """(deterministic_mode(), environment) after importing the package in a
+    child process whose environment holds no BLAS thread variable and no
+    MORLEY_OCP_THREADS but ``env``."""
+    base = {k: v for k, v in child_env().items()
+            if k not in BLAS_THREADS + ("MORLEY_OCP_THREADS",)}
+    code = ("import json, os, morley_ocp\n"
+            "print(json.dumps([morley_ocp.deterministic_mode(), "
+            "dict(os.environ)]))")
+    res = subprocess.run([sys.executable, "-c", code], env=dict(base, **env),
+                         capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    return json.loads(res.stdout)
+
+
+@pytest.mark.parametrize("value", ["0", " 0\n"], ids=["zero", "padded"])
+def test_deterministic_mode_pins_blas_to_one_thread(value):
+    det, env = imported_under(MORLEY_OCP_THREADS=value)
+    assert det is True
+    assert env["OPENBLAS_NUM_THREADS"] == env["OMP_NUM_THREADS"] == "1"
+
+
+def test_deterministic_mode_keeps_a_preset_thread_count():
+    det, env = imported_under(MORLEY_OCP_THREADS="0", OMP_NUM_THREADS="2")
+    assert det is True
+    assert env["OMP_NUM_THREADS"] == "2"
+    assert env["OPENBLAS_NUM_THREADS"] == "1"
+
+
+@pytest.mark.parametrize("value", ["3", "", "one"],
+                         ids=["count", "empty", "word"])
+def test_other_values_set_no_thread_count(value):
+    # thread counts are set through the BLAS variables themselves
+    det, env = imported_under(MORLEY_OCP_THREADS=value)
+    assert det is False
+    assert not set(BLAS_THREADS) & set(env)

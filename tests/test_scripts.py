@@ -6,6 +6,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 from conftest import child_env
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -32,6 +34,24 @@ def test_reproduce_benchmarks_quick(tmp_path):
     for name in ("ex1", "ex1-uniform", "ex2", "ex3", "ex4"):
         assert (out / name / "run.json").is_file()
     assert any((out / "report").iterdir())
+
+
+@pytest.mark.parametrize("k, wrappers", [(1, 20), (4, 17)])
+def test_perfbench_tracer_finds_every_name_it_wraps(k, wrappers):
+    # the tracer looks its targets up by name from outside the package, so
+    # a rename under src/ makes install raise; ex1 also has the exact
+    # solution's closures, which no traced benchmark workload reaches
+    env = child_env()
+    env["PYTHONPATH"] = os.pathsep.join([os.path.join(ROOT, "perfbench"),
+                                         env["PYTHONPATH"]])
+    code = ("import morley_ocp, tracing\n"
+            "tracer = tracing.Tracer(0)\n"
+            f"tracing.install(tracer, morley_ocp.example({k}))\n"
+            "print(len(tracer.installed))")
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, env=env, timeout=600)
+    assert res.returncode == 0, res.stderr
+    assert int(res.stdout) == wrappers
 
 
 def test_perfbench_trace_covers_every_layer():

@@ -4,21 +4,20 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from morley_ocp import vi_solver
-from morley_ocp.assembly import assemble_constraints
 from morley_ocp.element import DofMap
 from morley_ocp.mesh import initial_mesh, uniform_refine
 from morley_ocp.problems import ProblemSpec, example, manufactured
 from morley_ocp.vi_solver import (SolverError, kkt_residual,
                                   solve_equality_qp, solve_vi)
 
-from conftest import assemble, random_mesh
+from conftest import assemble, constraints, random_mesh
 from oracles import exhaustive_box_solve, projected_gradient
 
 
 def setup_case_i(problem, mesh):
     dm = DofMap(mesh)
     A, b = assemble(dm, problem)
-    cons = assemble_constraints(dm, problem)
+    cons = constraints(dm, problem)
     return dm, A, b, cons
 
 
@@ -75,7 +74,7 @@ def test_pdas_iteration_cap_raises(monkeypatch):
     mesh = initial_mesh(0.0, 1.0, 2)
     dm = DofMap(mesh)
     A, b = assemble(dm, prob)
-    cons = assemble_constraints(dm, prob)
+    cons = constraints(dm, prob)
     with pytest.raises(SolverError, match="did not converge in 1 iterations"):
         solve_vi(A, b, cons)
 
@@ -123,7 +122,7 @@ def _ex4_pinned_case():
     dm = DofMap(uniform_refine(initial_mesh(0.0, 1.0, 4), 2))
     prob = example(4)
     A, b = assemble(dm, prob)
-    cons = assemble_constraints(dm, prob)
+    cons = constraints(dm, prob)
     lo, up = np.arange(1, 201, 4), np.arange(2, 201, 4)
     return A, b, cons.rows[np.r_[0, lo, up]], np.r_[cons.lower[0],
                                                      cons.lower[lo],
@@ -306,7 +305,7 @@ def test_case_ii_unconstrained_single_iteration(unit_cross):
     prob = box_problem(lo=-1e4, hi=1e4, delta3=-1e4)
     dm = DofMap(unit_cross)
     A, b = assemble(dm, prob)
-    cons = assemble_constraints(dm, prob)
+    cons = constraints(dm, prob)
     sol = solve_vi(A, b, cons)
     assert sol.iterations == 1
     assert np.all(sol.lam == 0.0) and sol.mu == 0.0
@@ -318,7 +317,7 @@ def test_case_ii_example4_certificate():
     mesh = uniform_refine(initial_mesh(0.0, 1.0, 2), 1)
     dm = DofMap(mesh)
     A, b = assemble(dm, prob)
-    cons = assemble_constraints(dm, prob)
+    cons = constraints(dm, prob)
     sol = solve_vi(A, b, cons)
     stat, feas, comp = kkt_residual(A, b, cons, sol)
     assert stat <= 1e-8 and feas <= 1e-9 and comp <= 1e-9
@@ -343,7 +342,7 @@ def test_case_ii_matches_exhaustive_enumeration(unit_cross, cfg):
     prob = box_problem(**box, tilt=400.0)
     dm = DofMap(unit_cross)
     A, b = assemble(dm, prob)
-    cons = assemble_constraints(dm, prob)
+    cons = constraints(dm, prob)
     sol = solve_vi(A, b, cons)
     assert (sol.active[0] == -1) == state
     np.testing.assert_array_equal(sol.active[1:], pattern)
@@ -365,7 +364,7 @@ def test_case_ii_eight_element_enumeration():
     prob = box_problem(lo=-2.0, hi=3.0, delta3=-100.0, tilt=400.0)
     dm = DofMap(mesh)
     A, b = assemble(dm, prob)
-    cons = assemble_constraints(dm, prob)
+    cons = constraints(dm, prob)
     sol = solve_vi(A, b, cons)
     # both boxes bind, on every element
     assert sol.active[0] == 0
@@ -383,7 +382,7 @@ def test_case_ii_certificate_on_sixteen_elements():
     prob = box_problem(lo=-2.0, hi=2.0, delta3=-100.0)
     dm = DofMap(mesh)
     A, b = assemble(dm, prob)
-    cons = assemble_constraints(dm, prob)
+    cons = constraints(dm, prob)
     sol = solve_vi(A, b, cons)
     stat, feas, comp = kkt_residual(A, b, cons, sol)
     assert max(stat, feas, comp) <= 1e-9
@@ -394,7 +393,7 @@ def test_case_ii_certificate_on_sixteen_elements():
 def _box_system(prob, mesh):
     dm = DofMap(mesh)
     A, b = assemble(dm, prob)
-    return A, b, assemble_constraints(dm, prob)
+    return A, b, constraints(dm, prob)
 
 
 WARM_START_CASES = {
@@ -516,7 +515,7 @@ def test_degenerate_rows_do_not_stall_pdas():
     dm = DofMap(uniform_refine(initial_mesh(0.0, 1.0, 4), 2))
     prob = example(4)
     A, b = assemble(dm, prob)
-    cons = assemble_constraints(dm, prob)
+    cons = constraints(dm, prob)
     x, _ = solve_equality_qp(A, b, cons.rows[:0], [],
                              lambda: vi_solver.SpdSolver(A))
     values = cons.rows @ x
@@ -561,7 +560,7 @@ def test_kkt_residual_keeps_nan_violation(unit_cross):
     prob = box_problem()
     dm = DofMap(unit_cross)
     A, b = assemble(dm, prob)
-    cons = assemble_constraints(dm, prob)
+    cons = constraints(dm, prob)
     sol = solve_vi(A, b, cons)
     cons.upper[1] = np.nan          # the first element's upper box
     _, feas, _ = kkt_residual(A, b, cons, sol)
