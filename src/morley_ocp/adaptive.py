@@ -158,60 +158,57 @@ def adaptive_solve(problem, adapt=None):
         try:
             solution, breakdown, report, kkt = solve_on_mesh(problem, mesh,
                                                              guess)
+            wall_ms = 1000.0 * (time.perf_counter() - t0)
+
+            eta_sq = breakdown.eta_sq.sum(axis=1)
+            etas, eta_h = np.sqrt(eta_sq), float(np.sqrt(eta_sq.sum()))
+            # any NaN or infinite entry of the indicator table makes eta_h so
+            if not np.isfinite(eta_h):
+                raise AdaptiveError("estimator is not finite "
+                                    f"(eta_h = {eta_h})", it)
+            err = None if report is None else report.energy_error
+            act = solution.active[1:]
+            rec = RunRecord(
+                iteration=it, dofs=solution.coefficients.size,
+                elements=mesh.n_elements,
+                eta_h=eta_h, eta1=float(etas[0]), eta2=float(etas[1]),
+                eta3=float(etas[2]), eta4=float(etas[3]), eta5=float(etas[4]),
+                energy_error=err,
+                l2_error=None if report is None else report.l2_error,
+                h2_error=(None if report is None
+                          else report.h2_broken_seminorm_error),
+                eff_index=eta_h / err if err else None,
+                mu_h=float(solution.mu),
+                lambda_min=float(solution.lam.min()),
+                lambda_max=float(solution.lam.max()),
+                n_active_lower=int(np.count_nonzero(act == -1)),
+                n_active_upper=int(np.count_nonzero(act == 1)),
+                state_active=bool(solution.active[0]),
+                kkt_stationarity=kkt[0], kkt_feasibility=kkt[1],
+                kkt_complementarity=kkt[2],
+                solver_iterations=int(solution.iterations),
+                osc=float(np.sqrt(np.sum(breakdown.osc_elem**2))),
+                wall_ms=wall_ms,
+            )
+            records.append(rec)
+            logger.info("it=%d dofs=%d eta=%.4e err=%s wall=%.0fms",
+                        it, rec.dofs, rec.eta_h,
+                        "-" if err is None else f"{err:.4e}", wall_ms)
+
+            if rec.dofs > adapt.max_dofs or it + 1 >= MAX_ITERATIONS:
+                break
+            if adapt.uniform:
+                marked = np.arange(mesh.n_elements)
+            elif not np.any(breakdown.element_indicators > 0):
+                logger.info("it=%d all element indicators are zero; nothing "
+                            "to mark, stopping", it)
+                break
+            else:
+                marked = doerfler_mark(breakdown.element_indicators,
+                                       adapt.theta)
+            mesh = bisect(mesh, marked)
         except (SolverError, AssemblyError) as exc:
             raise AdaptiveError(str(exc), it) from exc
-        except MemoryError as exc:
-            raise AdaptiveError(f"out of memory on {mesh.n_elements} "
-                                "elements", it) from exc
-        wall_ms = 1000.0 * (time.perf_counter() - t0)
-
-        eta_sq = breakdown.eta_sq.sum(axis=1)
-        etas, eta_h = np.sqrt(eta_sq), float(np.sqrt(eta_sq.sum()))
-        # any NaN or infinite entry of the indicator table makes eta_h so
-        if not np.isfinite(eta_h):
-            raise AdaptiveError(f"estimator is not finite (eta_h = {eta_h})",
-                                it)
-        err = None if report is None else report.energy_error
-        act = solution.active[1:]
-        rec = RunRecord(
-            iteration=it, dofs=solution.coefficients.size,
-            elements=mesh.n_elements,
-            eta_h=eta_h, eta1=float(etas[0]), eta2=float(etas[1]),
-            eta3=float(etas[2]), eta4=float(etas[3]), eta5=float(etas[4]),
-            energy_error=err,
-            l2_error=None if report is None else report.l2_error,
-            h2_error=None if report is None else report.h2_broken_seminorm_error,
-            eff_index=eta_h / err if err else None,
-            mu_h=float(solution.mu),
-            lambda_min=float(solution.lam.min()),
-            lambda_max=float(solution.lam.max()),
-            n_active_lower=int(np.count_nonzero(act == -1)),
-            n_active_upper=int(np.count_nonzero(act == 1)),
-            state_active=bool(solution.active[0]),
-            kkt_stationarity=kkt[0], kkt_feasibility=kkt[1],
-            kkt_complementarity=kkt[2],
-            solver_iterations=int(solution.iterations),
-            osc=float(np.sqrt(np.sum(breakdown.osc_elem**2))),
-            wall_ms=wall_ms,
-        )
-        records.append(rec)
-        logger.info("it=%d dofs=%d eta=%.4e err=%s wall=%.0fms",
-                    it, rec.dofs, rec.eta_h,
-                    "-" if rec.energy_error is None else f"{rec.energy_error:.4e}",
-                    wall_ms)
-
-        if rec.dofs > adapt.max_dofs or it + 1 >= MAX_ITERATIONS:
-            break
-        if adapt.uniform:
-            marked = np.arange(mesh.n_elements)
-        elif not np.any(breakdown.element_indicators > 0):
-            logger.info("it=%d all element indicators are zero; nothing to "
-                        "mark, stopping", it)
-            break
-        else:
-            marked = doerfler_mark(breakdown.element_indicators, adapt.theta)
-        try:
-            mesh = bisect(mesh, marked)
         except MemoryError as exc:
             raise AdaptiveError(f"out of memory on {mesh.n_elements} "
                                 "elements", it) from exc

@@ -164,19 +164,10 @@ def _indicator_rows(breakdown):
 def run_solve(args):
     from . import deterministic_mode
     from .adaptive import AdaptConfig, AdaptiveError, adaptive_solve
-    from .problems import ProblemError, example, manufactured
+    from .problems import example, manufactured
 
-    try:
-        if args.problem.startswith("ex"):
-            problem = example(args.problem)
-        elif args.problem == "manufactured":
-            problem = manufactured(args.seed, active_state=args.active_state)
-        else:
-            raise ProblemError(f"unknown problem {args.problem!r}")
-    except (ProblemError, ValueError) as exc:
-        print(f"bad --problem: {exc}", file=sys.stderr)
-        return 2
-
+    problem = (manufactured(args.seed, active_state=args.active_state)
+               if args.problem == "manufactured" else example(args.problem))
     adapt = AdaptConfig(theta=args.theta, max_dofs=args.max_dofs,
                         uniform=args.uniform,
                         initial_subdivisions=args.subdivisions)
@@ -227,16 +218,18 @@ def run_solve(args):
 
 
 def _is_record(r):
-    """A run.json record holding the numbers ``report`` reads; ``iteration``
-    and ``dofs`` are integers (not bools), ``dofs`` at least 1."""
+    """A run.json record holding the numbers ``report`` reads: ``iteration``
+    and ``dofs`` integers (JSON's true and false are not), ``dofs`` at
+    least 1, ``eta_h`` a number within the float range (no NaN, no
+    infinity), ``energy_error`` and ``eff_index`` such a number or null."""
     if not isinstance(r, dict):
         return False
     it, dofs = r.get("iteration"), r.get("dofs")
-    return (all(isinstance(v, int) and not isinstance(v, bool)
-                for v in (it, dofs)) and dofs >= 1
-            and isinstance(r.get("eta_h"), (int, float))
-            and all(isinstance(r.get(k), (int, float, type(None)))
-                    for k in ("energy_error", "eff_index")))
+    numbers = [r.get("eta_h")] + [r[k] for k in ("energy_error", "eff_index")
+                                  if r.get(k) is not None]
+    return (all(type(v) is int for v in (it, dofs)) and dofs >= 1
+            and all(type(v) in (int, float) and abs(v) <= sys.float_info.max
+                    for v in numbers))
 
 
 def run_report(args):
@@ -276,7 +269,7 @@ def build_parser():
 
     sp = sub.add_parser("solve", help="run one adaptive/uniform study")
     sp.add_argument("--problem", required=True,
-                    help="ex1..ex4 or 'manufactured'")
+                    choices=["ex1", "ex2", "ex3", "ex4", "manufactured"])
     sp.add_argument("--theta", type=float, default=0.3)
     sp.add_argument("--max-dofs", type=int, default=50000, dest="max_dofs")
     sp.add_argument("--uniform", action="store_true")
@@ -312,7 +305,3 @@ def run(argv):
 
 def main():
     sys.exit(run(sys.argv[1:]))
-
-
-if __name__ == "__main__":
-    main()

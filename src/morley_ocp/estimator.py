@@ -123,12 +123,10 @@ def estimate(dofmap: DofMap, solution, problem, yd):
     """Assemble the full EstimatorBreakdown for a certified solution;
     ``yd`` is ``y_d`` sampled at ``dofmap.points``."""
     mesh = dofmap.mesh
-    # the integral case's one control multiplier serves every element
-    lam_elem = np.broadcast_to(np.asarray(solution.lam, dtype=float),
-                               (mesh.n_elements,))
     eta_sq = np.empty((5, mesh.n_elements))
+    # the integral case's one multiplier, shape (1,), broadcasts over elements
     eta_sq[0], eta_sq[4] = eta_interior(dofmap, solution.coefficients,
-                                        solution.mu, lam_elem, problem, yd)
+                                        solution.mu, solution.lam, problem, yd)
     # eta_edges is zero on boundary edges, so each element takes half of
     # every one of its edges
     edges = eta_edges(dofmap, solution.coefficients, problem.beta)

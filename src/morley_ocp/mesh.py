@@ -86,12 +86,8 @@ class Mesh:
             raise MeshError("refinement edge outside the local edges 0, 1, 2")
         self.parent = None if parent is None else np.array(parent, np.int64)
         self._build_topology()
-        for a in (self.vertices, self.elements, self.refinement_edge,
-                  self.edges, self.edge_elements, self.edge_normals,
-                  self.edge_lengths, self.interior_edges, self.elem_edges,
-                  self.vertex_on_boundary, self.areas, self.h_elements,
-                  self.grad_lambda, self.parent):
-            if a is not None:
+        for a in vars(self).values():
+            if isinstance(a, np.ndarray):
                 a.flags.writeable = False
 
     # -- construction ------------------------------------------------

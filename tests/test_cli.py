@@ -187,6 +187,27 @@ def test_report_rejects_a_record_without_a_dof_count(field, value, tmp_path):
     assert not (out / "comparison.csv").exists()
 
 
+@pytest.mark.parametrize("field, value, text", [
+    ("eta_h", float("inf"), "Infinity"), ("eta_h", float("nan"), "NaN"),
+    ("energy_error", float("inf"), "Infinity"), ("eta_h", True, "true"),
+    ("eta_h", 10**400, "1" + "0" * 400)],
+    ids=["eta_h-Infinity", "eta_h-NaN", "energy_error-Infinity",
+         "eta_h-true", "eta_h-1e400"])
+def test_report_rejects_a_non_finite_record(field, value, text, tmp_path):
+    # JSON's Infinity and NaN load as floats and 1e400 written as an integer
+    # loads as an int; no log axis can place them, and true is no number
+    bad = tmp_path / "nonfinite.json"
+    good = {"dofs": 10, "eta_h": 1.0, "energy_error": 0.5, "iteration": 0}
+    bad.write_text(json.dumps({"config": {}, "records": [
+        good, dict(good, dofs=20, iteration=1, **{field: value})]}))
+    assert f'"{field}": {text},' in bad.read_text()
+    out = tmp_path / "rep"
+    res = run_cli(["report", str(bad), "--out", str(out)])
+    assert res.returncode == 2
+    assert f"schema mismatch in {bad}" in res.stderr
+    assert not (out / "comparison.csv").exists()
+
+
 def test_plot_ticks(ex1_run):
     _, rows = read_csv(ex1_run / "convergence.csv")
     dofs = [int(r["dofs"]) for r in rows]
@@ -201,6 +222,16 @@ def test_plot_ticks(ex1_run):
     svg = (ex1_run / "efficiency.svg").read_text(encoding="utf-8")
     assert re.findall(r"text-anchor='end'>([^<]*)<", svg) == [
         f"{lo + (hi - lo) * k / 5:.3g}" for k in range(6)]
+
+
+@pytest.mark.parametrize("name", ["ex01", "ex9", "ex"])
+def test_solve_rejects_an_unknown_problem_before_any_work(name, tmp_path):
+    out = tmp_path / "out"
+    res = run_cli(["solve", "--problem", name, "--max-dofs", "100",
+                   "--out", str(out)])
+    assert res.returncode == 2
+    assert "invalid choice" in res.stderr
+    assert not out.exists()
 
 
 def test_bad_flags_exit_2():

@@ -154,6 +154,20 @@ def test_estimate_totals_bookkeeping(unit_cross):
     assert np.all(bd.element_indicators >= 0)
 
 
+def test_estimate_broadcasts_the_integral_multiplier():
+    # ex1's control row is active with a nonzero multiplier, so eta5 reads
+    # the one multiplier on every element
+    prob = example(1)
+    mesh = initial_mesh((0, 0), (1, 1), 4)
+    dm = DofMap(mesh)
+    A, b = assemble(dm, prob)
+    sol = solve_vi(A, b, constraints(dm, prob))
+    assert sol.active[1] != 0 and sol.lam.shape == (1,) and sol.lam[0] != 0
+    bd = estimate(dm, sol, prob, sample(prob.y_d, dm.points))
+    want = mesh.h_elements**2 / prob.beta * sol.lam[0]**2 * mesh.areas
+    assert np.array_equal(bd.eta_sq[4], want)
+
+
 def test_beta_homogeneity(unit_cross):
     dm = DofMap(unit_cross)
     rng = np.random.default_rng(7)

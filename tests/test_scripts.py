@@ -1,8 +1,10 @@
 """The experiment wrappers in ``scripts/`` run end to end on small budgets,
 and the benchmark's layer tracing still finds every layer it wraps."""
 
+import importlib.util
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -34,6 +36,23 @@ def test_reproduce_benchmarks_quick(tmp_path):
     for name in ("ex1", "ex1-uniform", "ex2", "ex3", "ex4"):
         assert (out / name / "run.json").is_file()
     assert any((out / "report").iterdir())
+
+
+def test_record_digest_lines_repeat(monkeypatch):
+    # the script pins deterministic mode on import; the monkeypatch puts
+    # the test process's environment back afterwards
+    monkeypatch.setenv("MORLEY_OCP_THREADS", "0")
+    spec = importlib.util.spec_from_file_location(
+        "record_digest", os.path.join(SCRIPTS, "record_digest.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    assert [s[0] for s in module.STUDIES] == [
+        "ex1", "ex2", "ex3", "ex4", "ex4-adaptive", "ex4-uniform"]
+    studies = [("ex1", "ex1", 500, False), ("ex4", "ex4", 500, False)]
+    first, second = ([module.digest(*s) for s in studies] for _ in range(2))
+    assert first == second
+    line = re.compile(r"(\S+) dofs=\d+ records=\d+ sha256=[0-9a-f]{16}")
+    assert [line.fullmatch(s).group(1) for s in first] == ["ex1", "ex4"]
 
 
 @pytest.mark.parametrize("k, wrappers", [(1, 20), (4, 17)])
